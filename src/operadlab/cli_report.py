@@ -5,7 +5,9 @@ Reports are deterministic for a fixed configuration and seed: no wall-clock
 data is recorded, dictionary keys are emitted in sorted order, and every
 randomized check derives from the configured seed.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
+3 internal error (an exception raised inside a suite; the report records it
+as a failed check and lists it under "errors").
 """
 import argparse
 import json
@@ -192,12 +194,19 @@ def run(suite, max_arity=4, weight_cap=3, seed=0):
     if not lo <= weight_cap <= hi:
         raise UsageError(f"weight_cap must be in [{lo}, {hi}]")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    checks = []
+    checks, errors = [], []
     for name in names:
-        for entry in _RUNNERS[name](max_arity, weight_cap, seed):
+        try:
+            entries = _RUNNERS[name](max_arity, weight_cap, seed)
+        except Exception as exc:
+            entries = []
+            _check(entries, "internal_error", False,
+                   type=type(exc).__name__, message=str(exc))
+            errors.append(name)
+        for entry in entries:
             entry["suite"] = name
             checks.append(entry)
-    return {
+    report = {
         "config": {"suite": suite, "max_arity": max_arity,
                    "weight_cap": weight_cap, "seed": seed},
         "checks": checks,
@@ -205,6 +214,9 @@ def run(suite, max_arity=4, weight_cap=3, seed=0):
         "failed": sum(1 for c in checks if not c["pass"]),
         "all_pass": all(c["pass"] for c in checks),
     }
+    if errors:
+        report["errors"] = errors
+    return report
 
 
 def export(report, fmt="json"):
@@ -253,6 +265,8 @@ def main(argv=None):
             return 2
     else:
         sys.stdout.write(payload)
+    if "errors" in report:
+        return 3
     return 0 if report["all_pass"] else 1
 
 

@@ -90,15 +90,8 @@ class GradedSpace:
     def degree(self, label) -> Degree:
         return self.degrees[label]
 
-    def labels_of_degree(self, d) -> list:
-        d = as_degree(d)
-        return [l for l in self.labels if self.degrees[l] == d]
-
     def labels_of_degree1(self, n: int) -> list:
         return [l for l in self.labels if self.degrees[l][0] == n]
-
-    def degrees_present(self) -> list:
-        return sorted(set(self.degrees.values()))
 
     def with_order(self, labels) -> "GradedSpace":
         labels = tuple(labels)

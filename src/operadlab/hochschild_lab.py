@@ -889,6 +889,7 @@ class SchoutenTruncation:
         self.monos.sort()
         self._wordbasis = {}
         self._wordech = {}
+        self._pbasis = None
 
     # -- letters -----------------------------------------------------------
     def deg(self, m):
@@ -989,33 +990,52 @@ class SchoutenTruncation:
     # -- basis of P --------------------------------------------------------
     def p_basis(self):
         """Multisets of basis words (sorted by (length, word)); odd-parity
-        components may not repeat."""
-        out = []
-
-        def wkey(w):
-            return (len(w), w)
-
-        def rec(pool, chosen, length, weight):
-            if chosen:
-                out.append(tuple(chosen))
-            for w in pool:
-                lw, ww = len(w), self.word_weight(w)
-                if length + lw > self.lcap or weight + ww > self.cap:
-                    continue
-                if chosen and wkey(w) < wkey(chosen[-1]):
-                    continue
-                if chosen and w == chosen[-1] and self.comp_par(w) == 1:
-                    continue
-                rec(pool, chosen + [w], length + lw, weight + ww)
-
+        components may not repeat.  Built once; every call returns the same
+        tuple."""
+        if self._pbasis is not None:
+            return self._pbasis
         pool = []
         for k in range(1, self.lcap + 1):
-            b, _ = self.word_block(k)
-            pool.extend(b)
-        pool.sort(key=wkey)
-        rec(pool, [], 0, 0)
-        out.sort(key=lambda z: (sum(len(w) for w in z), z))
-        return out
+            pool.extend(self.word_block(k)[0])
+        pool.sort(key=lambda w: (len(w), w))
+        # (word, length, weight, first pool index the next component may
+        # take): a word may repeat only if it is even
+        items = [(w, len(w), self.word_weight(w), i + self.comp_par(w))
+                 for i, w in enumerate(pool)]
+        out = []
+
+        def rec(start, chosen, length, weight):
+            for w, lw, ww, nxt in items[start:]:
+                if length + lw > self.lcap:
+                    break  # the pool is sorted by length
+                if weight + ww > self.cap:
+                    continue
+                chosen.append(w)
+                out.append((length + lw, tuple(chosen)))
+                rec(nxt, chosen, length + lw, weight + ww)
+                chosen.pop()
+
+        rec(0, [], 0, 0)
+        self._pbasis = tuple(z for _, z in sorted(out))
+        return self._pbasis
+
+    def koszul_sort(self, words):
+        """(sign, words sorted by (length, word)) with the Koszul sign of the
+        components' parities, or None if an odd component repeats."""
+        lst = list(words)
+        sign = 1
+        for i in range(1, len(lst)):
+            j = i
+            while j > 0 and (len(lst[j]), lst[j]) < (len(lst[j - 1]),
+                                                     lst[j - 1]):
+                sign *= (-1) ** (self.comp_par(lst[j]) *
+                                 self.comp_par(lst[j - 1]))
+                lst[j], lst[j - 1] = lst[j - 1], lst[j]
+                j -= 1
+        for i in range(1, len(lst)):
+            if lst[i] == lst[i - 1] and self.comp_par(lst[i]) == 1:
+                return None
+        return sign, tuple(lst)
 
     def normalize(self, words, coeff):
         """Reduce raw words to basis words and Koszul-sort the components."""
@@ -1026,24 +1046,10 @@ class SchoutenTruncation:
                      for pre, c in terms for bw, cb in red.items()]
         out = {}
         for ws, c in terms:
-            lst = list(ws)
-            sign = 1
-            ok = True
-            for i in range(1, len(lst)):
-                j = i
-                while j > 0 and (len(lst[j]), lst[j]) < (len(lst[j - 1]),
-                                                         lst[j - 1]):
-                    sign *= (-1) ** (self.comp_par(lst[j]) *
-                                     self.comp_par(lst[j - 1]))
-                    lst[j], lst[j - 1] = lst[j - 1], lst[j]
-                    j -= 1
-            for i in range(1, len(lst)):
-                if lst[i] == lst[i - 1] and self.comp_par(lst[i]) == 1:
-                    ok = False
-                    break
-            if not ok:
+            r = self.koszul_sort(ws)
+            if r is None:
                 continue
-            key = tuple(lst)
+            sign, key = r
             out[key] = out.get(key, Fraction(0)) + sign * c
         return vec_clean(out)
 
@@ -1223,19 +1229,7 @@ class SchoutenDualModel:
             return None
         if sum(ctx.word_weight(w) for w in words) > ctx.cap:
             return None
-        lst = list(words)
-        sign = 1
-        for i in range(1, len(lst)):
-            j = i
-            while j > 0 and (len(lst[j]), lst[j]) < (len(lst[j - 1]),
-                                                     lst[j - 1]):
-                sign *= (-1) ** (self.q(lst[j]) * self.q(lst[j - 1]))
-                lst[j], lst[j - 1] = lst[j - 1], lst[j]
-                j -= 1
-        for i in range(1, len(lst)):
-            if lst[i] == lst[i - 1] and self.q(lst[i]) == 1:
-                return None
-        return sign, tuple(lst)
+        return ctx.koszul_sort(words)
 
     def mulP(self, x, y):
         out = {}

@@ -81,11 +81,6 @@ def phi_symbol(ctx_name: str, cell, profile) -> GeneratorSymbol:
                            payload=(_PHI, ctx_name, cell, profile))
 
 
-def m_symbol(k: int) -> GeneratorSymbol:
-    """m_k in B: the arity-k corestriction component, degree 1."""
-    return d_symbol(k)
-
-
 def mm_symbol(k: int, l: int) -> GeneratorSymbol:
     """m_{k,l} in B: the binary product read through blocks of sizes k, l."""
     return phi_symbol("As", corolla(AS2), (k, l))
@@ -569,19 +564,6 @@ def evaluate(e, parities) -> dict:
 
 # ---------------------------------------------------------------------------
 # the differential
-
-def _coderivation_words(word, par) -> dict:
-    """Apply the coderivation assembled from all D_j to a tensor word:
-    sum over consecutive segments, with the parity of the prefix as sign."""
-    out = {}
-    n = len(word)
-    for j in range(2, n + 1):
-        for a in range(0, n - j + 1):
-            p = word_parity(word[:a], par)
-            neww = word[:a] + (App(d_symbol(j), word[a:a + j]),) + word[a + j:]
-            _acc(out, neww, -1 if p else 1)
-    return out
-
 
 def ox_differential(sym: GeneratorSymbol) -> OperadElement:
     """Differential of a generator of O(X), as an operad element.

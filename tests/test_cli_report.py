@@ -55,6 +55,27 @@ def test_main_exit_codes(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "f.json")]) == 1
 
 
+def test_main_internal_error_is_not_a_failed_check(tmp_path, monkeypatch):
+    clean = cli.run("associahedra")
+    assert "errors" not in clean
+
+    def boom(*args):
+        raise ZeroDivisionError("forced internal error")
+
+    monkeypatch.setitem(cli._RUNNERS, "associahedra", boom)
+    out = tmp_path / "e.json"
+    assert cli.main(["--suite", "associahedra", "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["errors"] == ["associahedra"]
+    assert report["all_pass"] is False and report["failed"] == 1
+    assert report["checks"] == [{
+        "name": "internal_error", "pass": False, "suite": "associahedra",
+        "data": {"message": "forced internal error",
+                 "type": "ZeroDivisionError"}}]
+    # a usage error keeps its own status
+    assert cli.main(["--suite", "associahedra", "--weight-cap", "9"]) == 2
+
+
 def test_cli_subprocess_byte_identical(tmp_path):
     # Two fresh interpreters with different string-hash seeds, run from a
     # directory outside the repository, must print the same bytes. The

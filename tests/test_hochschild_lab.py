@@ -225,6 +225,41 @@ def test_schouten_truncation_gradings():
         assert ctx.gr3(z) == len(z) - 1
 
 
+def brute_force_p_basis(ctx):
+    """Every multiset of basis words within the caps, no odd word twice."""
+    pool = sorted((w for k in range(1, ctx.lcap + 1)
+                   for w in ctx.word_block(k)[0]),
+                  key=lambda w: (len(w), w))
+    out = []
+    for r in range(1, ctx.lcap + 1):
+        # each component has at least one letter
+        short = [w for w in pool if len(w) <= ctx.lcap - r + 1]
+        for z in itertools.combinations_with_replacement(short, r):
+            if ctx.z_letters(z) > ctx.lcap or ctx.z_weight(z) > ctx.cap:
+                continue
+            if any(a == b and ctx.comp_par(a) == 1
+                   for a, b in zip(z, z[1:])):
+                continue
+            out.append(z)
+    out.sort(key=lambda z: (ctx.z_letters(z), z))
+    return out
+
+
+@pytest.mark.parametrize("generators", [0, 2])
+def test_p_basis_matches_brute_force(generators):
+    for cap, lcap in itertools.product(range(1, 5), range(1, 5)):
+        ctx = SchoutenTruncation(cap, lcap, generators=generators)
+        basis = ctx.p_basis()
+        assert list(basis) == brute_force_p_basis(ctx), (cap, lcap)
+        assert ctx.p_basis() is basis
+
+
+def test_p_basis_is_shared_with_dual_model():
+    ctx = SchoutenTruncation(2, 3)
+    assert isinstance(ctx.p_basis(), tuple)
+    assert SchoutenDualModel(ctx).P is ctx.p_basis()
+
+
 def test_coderivations_square_and_anticommute():
     rep = extension_report(3, 3)
     assert rep["d_product_squares_to_zero"]
