@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .exact_chain import Complex, GradedMap, GradedSpace
+from .exact_chain import Complex, GradedMap, GradedSpace, vec_axpy
 from .operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
     format_tree, graft, leaf_labels, relabel, tree_arity, tree_degree,
@@ -101,11 +101,9 @@ def cone_chain(e: OperadElement) -> OperadElement:
 def cone_chain_or_collapse(e: OperadElement) -> OperadElement:
     """Cone multi-vertex terms, drop interior terms (the boundary component
     of a map into a cone is all that the coned map keeps)."""
-    out = OperadElement.zero(e.arity)
-    for t, c in e.terms.items():
-        if vertex_count(t) >= 2:
-            out = out.add(_el(corolla(cone_symbol(t)), c))
-    return out
+    return OperadElement(e.arity, {corolla(cone_symbol(t)): c
+                                   for t, c in e.terms.items()
+                                   if vertex_count(t) >= 2})
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +264,13 @@ def _delete_leaf(t, j: int) -> OperadElement:
                     return OperadElement(tree_arity(t2), {t2: Fraction(1)})
                 base = u.symbol.payload
                 img = cone_chain_or_collapse(_delete_leaf(base, i + 1))
-                out = OperadElement.zero(tree_arity(u) - 1)
-                for s, c in img.terms.items():
-                    out = out.add(OperadElement(out.arity,
-                                                {Node(s.symbol, others): c}))
-                return out
+                return OperadElement(tree_arity(u) - 1,
+                                     {Node(s.symbol, others): c
+                                      for s, c in img.terms.items()})
             sub = go(child)
-            out = OperadElement.zero(tree_arity(u) - 1)
-            for s, c in sub.terms.items():
-                kids = u.children[:i] + (s,) + u.children[i + 1:]
-                out = out.add(OperadElement(out.arity, {Node(u.symbol, kids): c}))
-            return out
+            return OperadElement(tree_arity(u) - 1, {
+                Node(u.symbol, u.children[:i] + (s,) + u.children[i + 1:]): c
+                for s, c in sub.terms.items()})
         raise CellError("leaf not found")
 
     return _canonical(go(t))
@@ -361,14 +355,14 @@ def insertion_sign(i: int, j: int, l: int) -> int:
 
 def boundary_fundamental_cycle(k: int) -> OperadElement:
     """Sum over i of mu_i { mu_{k+1-i} }, a cycle in the boundary chains."""
-    total = OperadElement.zero(k)
+    terms = {}
     for i in range(2, k):
         j = k + 1 - i
         mi = fundamental_class(i)
         mj = fundamental_class(j)
         for l in range(1, i + 1):
-            total = total.add(graft(mi, mj, l).scale(insertion_sign(i, j, l)))
-    return total
+            vec_axpy(terms, insertion_sign(i, j, l), graft(mi, mj, l).terms)
+    return OperadElement(k, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ as a failed check and lists it under "errors").
 """
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from . import associahedra as ah
 from . import coalgebra_operad as co
 from . import ox_construction as ox
 from . import hochschild_lab as hl
+from .exact_chain import vec_acc
 
 SUITES = ("associahedra", "coalgebra", "bop", "obstruction",
           "hochschild", "all")
@@ -109,9 +111,43 @@ def _suite_bop(max_arity, weight_cap, seed):
     _check(checks, "jacobi_in_B3",
            ox.equal_in_O(ox.jacobiator(),
                          ox.jacobiator().scale(Fraction(0)), "B"))
-    _check(checks, "sign_conventions", True,
-           report=ox.signs_report().splitlines())
+    report = ox.signs_report()
+    _check(checks, "sign_conventions", _signs_report_holds(report),
+           report=report.splitlines())
     return checks
+
+
+def _signs_report_holds(text):
+    """Whether the printed sign conventions are the computed ones: the
+    stated d m_(1,1) is ox.diff of that generator, and the stated
+    insertion-sign exponents give associahedra.insertion_sign for
+    2 <= i, j <= 6 and every slot l."""
+    from .operad_core import OperadElement, corolla
+    dm = re.search(r"d m_\(1,1\) = (-?)\(m_2\(x(\d),x(\d)\) \+ "
+                   r"m_2\(x(\d),x(\d)\)\)", text)
+    exponents = re.findall(
+        r"\(-1\)\^\(((?:\([ijl]-\d\)\([ijl]-\d\)\+?)+)\)", text)
+    if not dm or not exponents:
+        return False
+    sign = -1 if dm.group(1) else 1
+    slots = [int(x) for x in dm.groups()[1:]]
+    want = {}
+    for labels in (slots[:2], slots[2:]):
+        vec_acc(want, corolla(ox.d_symbol(2), labels), sign)
+    got = ox.diff(OperadElement.from_tree(corolla(ox.mm_symbol(1, 1))))
+    if got != OperadElement(2, want):
+        return False
+    for exponent in exponents:
+        factors = re.findall(r"\(([ijl])-(\d)\)\(([ijl])-(\d)\)", exponent)
+        for i in range(2, 7):
+            for j in range(2, 7):
+                for l in range(1, i + 1):
+                    v = {"i": i, "j": j, "l": l}
+                    e = sum((v[a] - int(b)) * (v[c] - int(d))
+                            for a, b, c, d in factors)
+                    if (-1) ** (e % 2) != ah.insertion_sign(i, j, l):
+                        return False
+    return True
 
 
 def _suite_obstruction(max_arity, weight_cap, seed):

@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .exact_chain import (GradedMap, GradedSpace, degree_add, vec_add,
-                          vec_clean, vec_scale)
+from .exact_chain import (GradedMap, GradedSpace, degree_add, vec_acc,
+                          vec_axpy, vec_clean)
 from .operad_core import (Leaf, Node, OperadElement, corolla, graft,
                           replace_vertex, tree_arity, tree_degree,
                           tree_vertices)
@@ -55,9 +55,8 @@ class DgCoalgebra:
     def delta_chain(self, vec: Mapping) -> dict:
         out: dict = {}
         for l, c in vec.items():
-            for pair, a in self.delta.get(l, {}).items():
-                out[pair] = out.get(pair, Fraction(0)) + c * a
-        return vec_clean(out)
+            vec_axpy(out, c, self.delta.get(l, {}))
+        return out
 
     def eps_chain(self, vec: Mapping) -> Fraction:
         return sum((c * self.counit.get(l, Fraction(0))
@@ -71,12 +70,10 @@ class DgCoalgebra:
             rhs: dict = {}
             for (a, b), c in self.delta.get(x, {}).items():
                 for (a1, a2), c2 in self.delta.get(a, {}).items():
-                    k = (a1, a2, b)
-                    lhs[k] = lhs.get(k, Fraction(0)) + c * c2
+                    vec_acc(lhs, (a1, a2, b), c * c2)
                 for (b1, b2), c2 in self.delta.get(b, {}).items():
-                    k = (a, b1, b2)
-                    rhs[k] = rhs.get(k, Fraction(0)) + c * c2
-            if vec_clean(lhs) != vec_clean(rhs):
+                    vec_acc(rhs, (a, b1, b2), c * c2)
+            if lhs != rhs:
                 raise CoalgebraError(f"coassociativity fails at {x!r}")
 
     def check_counit(self):
@@ -87,11 +84,11 @@ class DgCoalgebra:
                 ea = self.counit.get(a, Fraction(0))
                 eb = self.counit.get(b, Fraction(0))
                 if ea:
-                    left[b] = left.get(b, Fraction(0)) + c * ea
+                    vec_acc(left, b, c * ea)
                 if eb:
-                    right[a] = right.get(a, Fraction(0)) + c * eb
+                    vec_acc(right, a, c * eb)
             want = {x: Fraction(1)}
-            if vec_clean(left) != want or vec_clean(right) != want:
+            if left != want or right != want:
                 raise CoalgebraError(f"counit axiom fails at {x!r}")
 
     def check_coderivation(self):
@@ -100,13 +97,11 @@ class DgCoalgebra:
             rhs: dict = {}
             for (a, b), c in self.delta.get(x, {}).items():
                 for a2, c2 in self.d.column(a).items():
-                    k = (a2, b)
-                    rhs[k] = rhs.get(k, Fraction(0)) + c * c2
+                    vec_acc(rhs, (a2, b), c * c2)
                 sa = -1 if self.space.degree(a)[0] % 2 else 1
                 for b2, c2 in self.d.column(b).items():
-                    k = (a, b2)
-                    rhs[k] = rhs.get(k, Fraction(0)) + sa * c * c2
-            if vec_clean(lhs) != vec_clean(rhs):
+                    vec_acc(rhs, (a, b2), sa * c * c2)
+            if lhs != rhs:
                 raise CoalgebraError(f"coderivation fails at {x!r}")
 
     def check_counit_chain_map(self):
@@ -131,24 +126,22 @@ def check_morphism(f: Mapping, source: DgCoalgebra, target: DgCoalgebra):
         # chain map
         lhs = {}
         for y, c in source.d.column(x).items():
-            lhs = vec_add(lhs, vec_scale(c, f.get(y, {})))
+            vec_axpy(lhs, c, f.get(y, {}))
         rhs = {}
         for y, c in fx.items():
-            rhs = vec_add(rhs, vec_scale(c, target.d.column(y)))
-        if vec_clean(lhs) != vec_clean(rhs):
+            vec_axpy(rhs, c, target.d.column(y))
+        if lhs != rhs:
             raise CoalgebraError(f"not a chain map at {x!r}")
         # comultiplication
         lhs2: dict = {}
         for (a, b), c in source.delta.get(x, {}).items():
             for a2, ca in f.get(a, {}).items():
                 for b2, cb in f.get(b, {}).items():
-                    k = (a2, b2)
-                    lhs2[k] = lhs2.get(k, Fraction(0)) + c * ca * cb
+                    vec_acc(lhs2, (a2, b2), c * ca * cb)
         rhs2: dict = {}
         for y, c in fx.items():
-            for pair, c2 in target.delta.get(y, {}).items():
-                rhs2[pair] = rhs2.get(pair, Fraction(0)) + c * c2
-        if vec_clean(lhs2) != vec_clean(rhs2):
+            vec_axpy(rhs2, c, target.delta.get(y, {}))
+        if lhs2 != rhs2:
             raise CoalgebraError(f"comultiplication not respected at {x!r}")
         # counit
         if source.eps_of(x) != target.eps_chain(fx):
@@ -198,17 +191,15 @@ def cone(a: DgCoalgebra) -> DgCoalgebra:
     for l in a.space.labels:
         col = {l: Fraction(1)}
         for m, c in a.d.column(l).items():
-            col = vec_add(col, {_t(m): -c})
-        e = a.eps_of(l)
-        if e:
-            col = vec_add(col, {APEX: -e})
+            vec_acc(col, _t(m), -c)
+        vec_acc(col, APEX, -a.eps_of(l))
         entries[_t(l)] = col
     d = GradedMap(sp, sp, a.d.shift, entries)
 
     delta = {l: a.delta_of(l) for l in a.space.labels}
     for l in a.space.labels:
         col = {(_t(x), y): c for (x, y), c in a.delta_of(l).items()}
-        col[(APEX, _t(l))] = col.get((APEX, _t(l)), Fraction(0)) + 1
+        vec_acc(col, (APEX, _t(l)), Fraction(1))
         delta[_t(l)] = col
     delta[APEX] = {(APEX, APEX): Fraction(1)}
 
@@ -304,8 +295,7 @@ def delta_cell(t) -> dict:
             acc = acc.map_trees(
                 lambda tr, p=path, v=seconds[k]: replace_vertex(tr, p, v))
         for t2, c2 in acc.terms.items():
-            key = (t1, t2)
-            out[key] = out.get(key, Fraction(0)) + coeff * sign * c2
+            vec_acc(out, (t1, t2), coeff * sign * c2)
 
     def walk(i, coeff, firsts, seconds):
         if i == len(verts):
@@ -315,7 +305,6 @@ def delta_cell(t) -> dict:
             walk(i + 1, coeff * c, firsts + [g1], seconds + [e2])
 
     walk(0, Fraction(1), [], [])
-    out = vec_clean(out)
     _delta_cell_cache[t] = out
     return out
 
@@ -323,9 +312,8 @@ def delta_cell(t) -> dict:
 def delta_chain(e: OperadElement) -> dict:
     out: dict = {}
     for t, c in e.terms.items():
-        for pair, a in delta_cell(t).items():
-            out[pair] = out.get(pair, Fraction(0)) + c * a
-    return vec_clean(out)
+        vec_axpy(out, c, delta_cell(t))
+    return out
 
 
 class CoalgebraOperad:

@@ -30,15 +30,27 @@ class StructuralFailure(Exception):
 # ---------------------------------------------------------------------------
 # vectors
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, Fraction(0)) + c
+def vec_acc(out: Vector, key, c) -> None:
+    """out[key] += c in place; an entry that becomes zero is dropped.
+
+    Accumulation starts from the integer 0, so integer coefficients stay
+    integers; pass a Fraction where a Fraction result is wanted.
+    """
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def vec_axpy(out: Vector, c, v: Mapping) -> None:
+    """out += c * v in place; entries that become zero are dropped."""
+    for k, x in v.items():
+        s = out.get(k, 0) + c * x
         if s:
             out[k] = s
         else:
             out.pop(k, None)
-    return out
 
 
 def vec_scale(c, u: Vector) -> Vector:
@@ -46,10 +58,6 @@ def vec_scale(c, u: Vector) -> Vector:
     if not c:
         return {}
     return {k: c * v for k, v in u.items()}
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return vec_add(u, vec_scale(-1, v))
 
 
 def vec_is_zero(u: Vector) -> bool:
@@ -162,12 +170,7 @@ class GradedMap:
     def apply(self, vec: Vector) -> Vector:
         out: Vector = {}
         for src, c in vec.items():
-            for tgt, a in self.entries.get(src, {}).items():
-                s = out.get(tgt, Fraction(0)) + c * a
-                if s:
-                    out[tgt] = s
-                else:
-                    out.pop(tgt, None)
+            vec_axpy(out, c, self.entries.get(src, {}))
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
@@ -183,9 +186,9 @@ class GradedMap:
     def add(self, other: "GradedMap") -> "GradedMap":
         if self.shift != other.shift:
             raise SpaceMismatch("adding maps of different shift")
-        entries = dict(self.entries)
+        entries = {src: dict(col) for src, col in self.entries.items()}
         for src, col in other.entries.items():
-            entries[src] = vec_add(entries.get(src, {}), col)
+            vec_axpy(entries.setdefault(src, {}), 1, col)
         return GradedMap(self.source, self.target, self.shift, entries,
                          check=False)
 
@@ -198,21 +201,11 @@ class GradedMap:
         return all(vec_is_zero(col) for col in self.entries.values())
 
     def rank(self) -> int:
-        ech = Echelon(self.target.index)
-        n = 0
-        for src in self.source.labels:
-            col = self.entries.get(src)
-            if col and ech.add(col) is not None:
-                n += 1
-        return n
+        return span(map(self.entries.get, self.source.labels),
+                    self.target.index).rank
 
     def __repr__(self):
         return f"GradedMap(shift={self.shift}, nnz_cols={len(self.entries)})"
-
-
-def compose(f: GradedMap, g: GradedMap) -> GradedMap:
-    """Matrix product f*g (apply g first)."""
-    return f.compose(g)
 
 
 def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
@@ -250,37 +243,56 @@ class Echelon:
     """Incremental Gaussian elimination with deterministic pivoting.
 
     The pivot of a vector is its nonzero label of least ambient index.
-    Rows are normalized to pivot coefficient 1 and kept back-reduced.
+    Rows are normalized to pivot coefficient 1 and kept back-reduced (each
+    row is 0 at every other pivot), so a vector is reduced in one pass over
+    the pivots it touches.
+
+    Relation tracking: when vectors are added with tags, every row also
+    carries its expression as a combination of the tags added so far.  A
+    dependent tagged vector is not inserted; it leaves its relation in
+    `relation`: a combination of tags, 1 at its own tag and otherwise
+    supported on the tags of earlier independent vectors, that maps to
+    zero.  Tag either every added vector or none.
     """
 
     def __init__(self, index: Mapping):
         self.index = index
-        self.rows = {}  # pivot label -> normalized row
+        self.rows = {}      # pivot label -> normalized row
+        self.combos = {}    # pivot label -> row as a combination of tags
+        self.relation = None
 
-    def reduce(self, vec: Vector) -> Vector:
+    def reduce(self, vec: Vector, combo=None) -> Vector:
+        """Reduced copy of vec; the same steps applied to the rows' tag
+        combinations are subtracted from `combo` in place, if given."""
         vec = vec_clean(vec)
-        while True:
-            hit = None
-            for k in vec:
-                if k in self.rows:
-                    if hit is None or self.index[k] < self.index[hit]:
-                        hit = k
-            if hit is None:
-                return vec
-            vec = vec_sub(vec, vec_scale(vec[hit], self.rows[hit]))
+        for p in [k for k in vec if k in self.rows]:
+            c = -vec[p]
+            vec_axpy(vec, c, self.rows[p])
+            if combo is not None:
+                vec_axpy(combo, c, self.combos[p])
+        return vec
 
-    def add(self, vec: Vector):
+    def add(self, vec: Vector, tag=None):
         """Insert vec; return the reduced remainder, or None if dependent."""
-        red = self.reduce(vec)
+        combo = None if tag is None else {tag: Fraction(1)}
+        red = self.reduce(vec, combo)
         if not red:
+            self.relation = combo
             return None
-        piv = min(red, key=lambda k: self.index[k])
-        row = vec_scale(Fraction(1, 1) / red[piv], red)
-        # back-reduce existing rows
-        for p, r in list(self.rows.items()):
-            if piv in r:
-                self.rows[p] = vec_sub(r, vec_scale(r[piv], row))
+        piv = min(red, key=self.index.__getitem__)
+        inv = Fraction(1) / red[piv]
+        row = vec_scale(inv, red)
+        if combo is not None:
+            combo = vec_scale(inv, combo)
+        for p, r in self.rows.items():
+            c = r.get(piv)
+            if c:
+                vec_axpy(r, -c, row)
+                if combo is not None:
+                    vec_axpy(self.combos[p], -c, combo)
         self.rows[piv] = row
+        if combo is not None:
+            self.combos[piv] = combo
         return red
 
     @property
@@ -291,37 +303,29 @@ class Echelon:
         return not self.reduce(vec)
 
 
+def span(vectors: Iterable, index: Mapping) -> Echelon:
+    """Echelon form of the span of `vectors`, added in order (empty and
+    None entries are skipped); its rank counts the independent ones."""
+    ech = Echelon(index)
+    for vec in vectors:
+        if vec:
+            ech.add(vec)
+    return ech
+
+
 def kernel_basis(columns: Mapping, sources: list, index: Mapping) -> list:
     """Kernel of the map with the given columns, as vectors over `sources`.
 
     columns[s] is the image vector of source label s; index orders the
-    target labels.  Deterministic: sources are processed in the given order.
+    target labels.  Sources are processed in the given order; the kernel
+    vector of a dependent source s is 1 at s and otherwise supported on
+    earlier independent sources, which fixes the basis uniquely.
     """
     ech = Echelon(index)
-    # augmented elimination: track the expression of each reduced column
-    combos = {}  # pivot -> combo vector over sources
     kernel = []
     for s in sources:
-        vec = vec_clean(columns.get(s, {}))
-        combo = {s: Fraction(1)}
-        while vec:
-            hit = None
-            for k in vec:
-                if k in ech.rows:
-                    if hit is None or index[k] < index[hit]:
-                        hit = k
-            if hit is None:
-                break
-            c = vec[hit]
-            vec = vec_sub(vec, vec_scale(c, ech.rows[hit]))
-            combo = vec_sub(combo, vec_scale(c, combos[hit]))
-        if not vec:
-            kernel.append(combo)
-        else:
-            piv = min(vec, key=lambda k: index[k])
-            inv = Fraction(1) / vec[piv]
-            ech.rows[piv] = vec_scale(inv, vec)
-            combos[piv] = vec_scale(inv, combo)
+        if ech.add(columns.get(s, {}), tag=s) is None:
+            kernel.append(ech.relation)
     return kernel
 
 
@@ -344,16 +348,11 @@ class Complex:
         labels = self.space.labels_of_degree1(degree)
         below = self.space.labels_of_degree1(degree - 1)
         cycles = kernel_basis(self.d.entries, labels, self.space.index)
-        ech = Echelon(self.space.index)
-        for b in below:
-            col = self.d.entries.get(b)
-            if col:
-                ech.add(col)
+        image = span(map(self.d.entries.get, below), self.space.index)
         reps = []
         rep_ech = Echelon(self.space.index)
         for z in cycles:
-            red = ech.reduce(z)
-            if red and rep_ech.add(red) is not None:
+            if rep_ech.add(image.reduce(z)) is not None:
                 reps.append(z)
         return len(reps), reps
 
@@ -362,16 +361,9 @@ class Complex:
         by_deg: dict = {}
         for l in self.space.labels:
             by_deg.setdefault(self.space.degree(l)[0], []).append(l)
-        ranks = {}
-        for n, labels in by_deg.items():
-            ech = Echelon(self.space.index)
-            r = 0
-            for l in labels:
-                col = self.d.entries.get(l)
-                if col and ech.add(col) is not None:
-                    r += 1
-            ranks[n] = r
-        return ranks
+        return {n: span(map(self.d.entries.get, labels),
+                        self.space.index).rank
+                for n, labels in by_deg.items()}
 
     def homology_dims(self) -> dict:
         """Betti numbers via rank-nullity; no representatives computed."""
@@ -390,10 +382,6 @@ class Complex:
         return chi
 
 
-def homology(c: Complex, degree: int):
-    return c.homology(degree)
-
-
 def quotient(space: GradedSpace, relations: Iterable):
     """Quotient by the span of relation vectors.
 
@@ -406,9 +394,7 @@ def quotient(space: GradedSpace, relations: Iterable):
         degs = {space.degree(l) for l in vec_clean(rel)}
         if len(degs) > 1:
             raise InhomogeneousRelation(f"relation spans degrees {degs}")
-    ech = Echelon(space.index)
-    for rel in relations:
-        ech.add(rel)
+    ech = span(relations, space.index)
     pivots = set(ech.rows)
     qlabels = [l for l in space.labels if l not in pivots]
     qspace = GradedSpace(qlabels, {l: space.degree(l) for l in qlabels})

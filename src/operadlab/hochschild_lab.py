@@ -39,8 +39,8 @@ import json
 from fractions import Fraction
 
 from .exact_chain import (
-    Complex, Echelon, GradedMap, GradedSpace, kernel_basis, vec_add,
-    vec_clean, vec_scale, vec_sub,
+    Complex, Echelon, GradedMap, GradedSpace, kernel_basis, span, vec_acc,
+    vec_axpy, vec_clean, vec_scale,
 )
 
 F = Fraction
@@ -110,9 +110,8 @@ class Algebra:
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                for k, c in self.mult[(i, j)].items():
-                    out[k] = out.get(k, F(0)) + a * b * c
-        return vec_clean(out)
+                vec_axpy(out, a * b, self.mult[(i, j)])
+        return out
 
     def _validate(self):
         for (i, j), col in self.mult.items():
@@ -194,8 +193,8 @@ class Cochain:
             for v, i in zip(vectors, args):
                 c *= v[i]
             if c:
-                out = vec_add(out, vec_scale(c, col))
-        return vec_clean(out)
+                vec_axpy(out, c, col)
+        return out
 
     def is_zero(self) -> bool:
         return not self.values
@@ -221,9 +220,9 @@ class Cochain:
             if self.is_zero():
                 return other
             raise HochschildError("cannot add cochains of different arity")
-        vals = dict(self.values)
+        vals = {a: dict(col) for a, col in self.values.items()}
         for a, col in other.values.items():
-            vals[a] = vec_add(vals.get(a, {}), col)
+            vec_axpy(vals.setdefault(a, {}), 1, col)
         return Cochain(self.algebra, self.arity, vals)
 
     def sub(self, other: "Cochain") -> "Cochain":
@@ -266,8 +265,7 @@ def hochschild_d(c: Cochain) -> Cochain:
 
     def acc(args, col, s):
         if col:
-            key = tuple(args)
-            vals[key] = vec_add(vals.get(key, {}), vec_scale(F(s), col))
+            vec_axpy(vals.setdefault(tuple(args), {}), F(s), col)
 
     for args in itertools.product(range(alg.dim), repeat=n + 1):
         basis = [{i: F(1)} for i in args]
@@ -278,7 +276,7 @@ def hochschild_d(c: Cochain) -> Cochain:
             for k, cf in merged.items():
                 sub = c.values.get(args[:i] + (k,) + args[i + 2:])
                 if sub:
-                    inner = vec_add(inner, vec_scale(cf, sub))
+                    vec_axpy(inner, cf, sub)
             acc(args, inner, (-1) ** (i + 1))
         acc(args, alg.product(c(*basis[:-1]), basis[-1]), (-1) ** (n + 1))
     return Cochain(alg, n + 1, vals)
@@ -293,7 +291,7 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
             key = af + ag
             col = alg.product(cf, cg)
             if col:
-                vals[key] = vec_add(vals.get(key, {}), col)
+                vec_axpy(vals.setdefault(key, {}), 1, col)
     return Cochain(alg, f.arity + g.arity, vals)
 
 
@@ -341,9 +339,7 @@ def brace(x: Cochain, ys) -> Cochain:
                     p += 1
             col = x(*xargs)
             if col:
-                key = tuple(args)
-                vals[key] = vec_add(vals.get(key, {}),
-                                    vec_scale(F(sign), col))
+                vec_axpy(vals.setdefault(tuple(args), {}), F(sign), col)
     return Cochain(alg, total, vals)
 
 
@@ -416,12 +412,9 @@ def is_coboundary(c: Cochain, nmax=None) -> bool:
     alg = c.algebra
     n = c.arity
     cx = hochschild_complex(alg, nmax if nmax is not None else n + 1)
-    ech = Echelon(cx.space.index)
-    for l in cx.space.labels_of_degree1(n - 1):
-        col = cx.d.entries.get(l)
-        if col:
-            ech.add(col)
-    return ech.contains(_cochain_vector(c))
+    image = span(map(cx.d.entries.get, cx.space.labels_of_degree1(n - 1)),
+                 cx.space.index)
+    return image.contains(_cochain_vector(c))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +459,8 @@ class CochainWordSum:
                 coeff = c
                 for _, _, v in combo:
                     coeff *= v
-                out[key] = out.get(key, F(0)) + coeff
-        return vec_clean(out)
+                vec_acc(out, key, coeff)
+        return out
 
     def is_zero(self) -> bool:
         return not self.to_dict()
@@ -696,19 +689,19 @@ def _odd_shuffle(u, v):
         yield (-1) ** (inv % 2), tuple(word)
 
 
+def _shuffle_relation(w, cut):
+    """The signed shuffle of the two pieces of w cut at position `cut`."""
+    rel = {}
+    for sg, sw in _odd_shuffle(w[:cut], w[cut:]):
+        vec_acc(rel, sw, Fraction(sg))
+    return rel
+
+
 def _harrison_word_block(k, s):
     """(basis, echelon) of weight-s length-k words modulo signed shuffles."""
     raws = sorted(_compositions(s, k))
-    index = {w: i for i, w in enumerate(raws)}
-    ech = Echelon(index)
-    for w in raws:
-        for cut in range(1, k):
-            rel = {}
-            for sg, sw in _odd_shuffle(w[:cut], w[cut:]):
-                rel[sw] = rel.get(sw, Fraction(0)) + sg
-            rel = vec_clean(rel)
-            if rel:
-                ech.add(rel)
+    ech = span((_shuffle_relation(w, cut) for w in raws for cut in range(1, k)),
+               {w: i for i, w in enumerate(raws)})
     basis = [w for w in raws if w not in ech.rows]
     return basis, ech
 
@@ -719,14 +712,11 @@ def _harrison_boundary_raw(word, c):
     out = {}
     for i in range(k - 1):
         merged = word[:i] + (word[i] + word[i + 1],) + word[i + 2:]
-        key = (merged, c)
-        out[key] = out.get(key, Fraction(0)) + (-1) ** i
+        vec_acc(out, (merged, c), Fraction((-1) ** i))
     if k >= 1:
-        key = (word[:-1], word[-1] + c)
-        out[key] = out.get(key, Fraction(0)) + (-1) ** (k - 1)
-        key = (word[1:], word[0] + c)
-        out[key] = out.get(key, Fraction(0)) - 1
-    return vec_clean(out)
+        vec_acc(out, (word[:-1], word[-1] + c), Fraction((-1) ** (k - 1)))
+        vec_acc(out, (word[1:], word[0] + c), Fraction(-1))
+    return out
 
 
 def harrison_weight_complex(weight):
@@ -760,9 +750,7 @@ def harrison_weight_complex(weight):
                 continue  # the k=1 piece has no word left to carry
             basis, ech = blocks[(kk, sum(rw))]
             for bw, bc in ech.reduce({rw: Fraction(coeff)}).items():
-                key = (bw, rc)
-                col[key] = col.get(key, Fraction(0)) + bc
-        col = vec_clean(col)
+                vec_acc(col, (bw, rc), bc)
         if col:
             entries[(w, c)] = col
     d = GradedMap(space, space, (1,), entries)
@@ -828,12 +816,9 @@ def harrison_boundary_descends(weight):
             _, ech = _harrison_word_block(k, s)
             for w in _compositions(s, k):
                 for cut in range(1, k):
-                    rel = {}
-                    for sg, sw in _odd_shuffle(w[:cut], w[cut:]):
-                        rel[sw] = rel.get(sw, Fraction(0)) + sg
                     # boundary of the relation, reduced in the quotient
                     acc = {}
-                    for rw, coeff in vec_clean(rel).items():
+                    for rw, coeff in _shuffle_relation(w, cut).items():
                         for (mw, mc), mcoeff in _harrison_boundary_raw(
                                 rw, c).items():
                             if not mw:
@@ -841,9 +826,8 @@ def harrison_boundary_descends(weight):
                             _, mech = _harrison_word_block(len(mw), sum(mw))
                             for bw, bc in mech.reduce(
                                     {mw: Fraction(coeff) * mcoeff}).items():
-                                key = (bw, mc)
-                                acc[key] = acc.get(key, Fraction(0)) + bc
-                    if vec_clean(acc):
+                                vec_acc(acc, (bw, mc), bc)
+                    if acc:
                         return False
     return True
 
@@ -916,12 +900,12 @@ class SchoutenTruncation:
         if a[1] == 1 and b[0] > 0:
             m = (a[0] + b[0] - 1, b[1])
             if self.weight(m) <= self.cap:
-                out[m] = out.get(m, Fraction(0)) + Fraction(b[0])
+                vec_acc(out, m, Fraction(b[0]))
         if a[0] > 0 and b[1] == 1:
             m = (a[0] - 1 + b[0], a[1])
             if self.weight(m) <= self.cap:
-                out[m] = out.get(m, Fraction(0)) - Fraction(a[0])
-        return vec_clean(out)
+                vec_acc(out, m, Fraction(-a[0]))
+        return out
 
     # -- words modulo signed shuffles --------------------------------------
     def raw_words(self, k, wmax):
@@ -967,17 +951,16 @@ class SchoutenTruncation:
         if k in self._wordbasis:
             return self._wordbasis[k], self._wordech[k]
         raws = sorted(self.raw_words(k, self.cap))
-        index = {w: i for i, w in enumerate(raws)}
-        ech = Echelon(index)
-        for w in raws:
-            for s in range(1, k):
-                rel = {}
-                for sg, sw in self.shuffles(w[:s], w[s:]):
-                    rel[sw] = rel.get(sw, Fraction(0)) + Fraction(sg)
-                rel = vec_clean(rel)
-                if rel:
-                    ech.add(rel)
-            # n.b. adding every split of every raw word spans all relations
+
+        def relation(w, s):
+            rel = {}
+            for sg, sw in self.shuffles(w[:s], w[s:]):
+                vec_acc(rel, sw, Fraction(sg))
+            return rel
+
+        # n.b. adding every split of every raw word spans all relations
+        ech = span((relation(w, s) for w in raws for s in range(1, k)),
+                   {w: i for i, w in enumerate(raws)})
         basis = [w for w in raws if w not in ech.rows]
         self._wordbasis[k] = basis
         self._wordech[k] = ech
@@ -1050,8 +1033,8 @@ class SchoutenTruncation:
             if r is None:
                 continue
             sign, key = r
-            out[key] = out.get(key, Fraction(0)) + sign * c
-        return vec_clean(out)
+            vec_acc(out, key, sign * c)
+        return out
 
     # -- gradings ----------------------------------------------------------
     def z_letters(self, z):
@@ -1095,9 +1078,8 @@ def schouten_d_product(ctx, z):
             neww = w[:j] + (mm,) + w[j + 2:]
             rest = [z[r] for r in range(N) if r != i]
             c = Fraction(esign * (-1) ** pfx)
-            for key, cv in ctx.normalize([neww] + rest, c).items():
-                out[key] = out.get(key, Fraction(0)) + cv
-    return vec_clean(out)
+            vec_axpy(out, 1, ctx.normalize([neww] + rest, c))
+    return out
 
 
 def schouten_d_bracket(ctx, z):
@@ -1135,10 +1117,9 @@ def schouten_d_bracket(ctx, z):
                             for v, cv in br.items():
                                 neww = shpre + (v,) + shpost
                                 c = Fraction(esign * s0 * s1 * s2) * cv
-                                for key, cc in ctx.normalize(
-                                        [neww] + rest, c).items():
-                                    out[key] = out.get(key, Fraction(0)) + cc
-    return vec_clean(out)
+                                vec_axpy(out, 1,
+                                         ctx.normalize([neww] + rest, c))
+    return out
 
 
 def product_corestriction(ctx, z):
@@ -1162,6 +1143,10 @@ def bracket_corestriction(ctx, z):
             s = Fraction((-1) ** ctx.par(a))
             return vec_clean({u: s * c for u, c in br.items()})
     return {}
+
+
+#: relation tag of the word being rewritten in SchoutenDualModel._build_rewrite
+_REWRITTEN = object()
 
 
 class SchoutenDualModel:
@@ -1204,10 +1189,10 @@ class SchoutenDualModel:
             for a, ca in left.items():
                 for b, cb in right.items():
                     c = ca * cb
-                    out[(a, b)] = out.get((a, b), Fraction(0)) + c
+                    vec_acc(out, (a, b), c)
                     sg = Fraction(-(-1) ** ((self.q(a) + 1) * (self.q(b) + 1)))
-                    out[(b, a)] = out.get((b, a), Fraction(0)) + sg * c
-        return {k: v for k, v in out.items() if v}
+                    vec_acc(out, (b, a), sg * c)
+        return out
 
     def _build_bracket(self):
         ctx = self.ctx
@@ -1215,8 +1200,7 @@ class SchoutenDualModel:
             basis, _ = ctx.word_block(k)
             for w in basis:
                 for (a, b), c in self.cobracket(w).items():
-                    d = self._br.setdefault((a, b), {})
-                    d[w] = d.get(w, Fraction(0)) + c
+                    vec_acc(self._br.setdefault((a, b), {}), w, c)
 
     def br_ww(self, a, b):
         """Bracket of two word duals, as a dict over basis words."""
@@ -1239,8 +1223,8 @@ class SchoutenDualModel:
                 if r is None:
                     continue
                 s, z = r
-                out[z] = out.get(z, Fraction(0)) + Fraction(s) * c1 * c2
-        return vec_clean(out)
+                vec_acc(out, z, Fraction(s) * c1 * c2)
+        return out
 
     @staticmethod
     def _mult_factor(z):
@@ -1272,9 +1256,8 @@ class SchoutenDualModel:
                     if r is None:
                         continue
                     s, zz = r
-                    out[zz] = out.get(zz, Fraction(0)) + \
-                        Fraction(s * (-1) ** (koz % 2)) * c * c2
-        return vec_clean(out)
+                    vec_acc(out, zz, Fraction(s * (-1) ** (koz % 2)) * c * c2)
+        return out
 
     def brFlip(self, b, x):
         """{b*, x} for b a single word, x general: Leibniz in the second slot."""
@@ -1288,9 +1271,8 @@ class SchoutenDualModel:
                     if r is None:
                         continue
                     s, zz = r
-                    out[zz] = out.get(zz, Fraction(0)) + \
-                        Fraction(s * (-1) ** (koz % 2)) * c * c2
-        return vec_clean(out)
+                    vec_acc(out, zz, Fraction(s * (-1) ** (koz % 2)) * c * c2)
+        return out
 
     # -- rewriting word duals as left-normed brackets of generators --------
     def _build_rewrite(self):
@@ -1305,60 +1287,29 @@ class SchoutenDualModel:
                 for g in gens:
                     nel = {}
                     for w, c in el.items():
-                        for w2, c2 in self.br_ww(w, (g,)).items():
-                            nel[w2] = nel.get(w2, Fraction(0)) + c * c2
-                    nel = vec_clean(nel)
+                        vec_axpy(nel, c, self.br_ww(w, (g,)))
                     cur[seq + (g,)] = nel
             prev = {s: e for s, e in cur.items() if e}
-            rows = {}
-
-            def reduce(vec, combo):
-                vec = dict(vec)
-                combo = dict(combo)
-                while True:
-                    vec = {kk: v for kk, v in vec.items() if v}
-                    if not vec:
-                        return None, combo
-                    p = min(vec)
-                    if p not in rows:
-                        return (p, vec), combo
-                    rv, rc = rows[p]
-                    f = vec[p]
-                    for kk, v in rv.items():
-                        vec[kk] = vec.get(kk, Fraction(0)) - f * v
-                    for kk, v in rc.items():
-                        combo[kk] = combo.get(kk, Fraction(0)) + f * v
-
-            for seq in sorted(cur):
-                el = cur[seq]
-                if not el:
-                    continue
-                res, combo = reduce(el, {})
-                if res is None:
-                    continue
-                p, vec = res
-                rc = {seq: Fraction(1)}
-                for kk, v in combo.items():
-                    rc[kk] = rc.get(kk, Fraction(0)) - v
-                f = vec[p]
-                rows[p] = ({kk: v / f for kk, v in vec.items()},
-                           {kk: v / f for kk, v in rc.items()})
             basis, _ = ctx.word_block(k)
+            ech = Echelon({w: i for i, w in enumerate(basis)})
+            for seq in sorted(prev):
+                ech.add(prev[seq], tag=seq)
             for w in basis:
-                res, combo = reduce({w: Fraction(1)}, {})
-                if res is not None:
+                # a word may equal a bracket sequence as a tuple, so it is
+                # tagged by a sentinel of its own
+                if ech.add({w: Fraction(1)}, tag=_REWRITTEN) is not None:
                     raise HochschildError(
                         f"left-normed brackets do not span word {w}")
-                self._rw[w] = [(c, s) for s, c in combo.items() if c]
+                self._rw[w] = [(-c, s) for s, c in ech.relation.items()
+                               if s is not _REWRITTEN]
 
     def _ln_el(self, seq):
         el = {(seq[0],): Fraction(1)}
         for l in seq[1:]:
             nel = {}
             for w, c in el.items():
-                for w2, c2 in self.br_ww(w, (l,)).items():
-                    nel[w2] = nel.get(w2, Fraction(0)) + c * c2
-            el = vec_clean(nel)
+                vec_axpy(nel, c, self.br_ww(w, (l,)))
+            el = nel
         return el
 
     # -- derivations from generator values ---------------------------------
@@ -1375,16 +1326,14 @@ class SchoutenDualModel:
         if gvg:
             sg = Fraction((-1) ** ((pphi * (qpre + 1)) % 2))
             for w, c in el.items():
-                for zz, cc in self.brFlip(w, gvg).items():
-                    out[zz] = out.get(zz, Fraction(0)) + sg * c * cc
-        return vec_clean(out)
+                vec_axpy(out, sg * c, self.brFlip(w, gvg))
+        return out
 
     def phi_word(self, w, gv, pphi):
         out = {}
         for c, seq in self._rw[w]:
-            for z, cc in self._phi_ln(seq, gv, pphi).items():
-                out[z] = out.get(z, Fraction(0)) + c * cc
-        return vec_clean(out)
+            vec_axpy(out, c, self._phi_ln(seq, gv, pphi))
+        return out
 
     def phi(self, x, gv, pphi):
         """Derivation with generator values gv applied to x (product rep)."""
@@ -1395,10 +1344,8 @@ class SchoutenDualModel:
                 fw = self.phi_word(w, gv, pphi)
                 t = self.mulP(self.mulP({tuple(z[:i]): Fraction(1)}, fw),
                               {tuple(z[i + 1:]): Fraction(1)})
-                for zz, cc in t.items():
-                    out[zz] = out.get(zz, Fraction(0)) + \
-                        Fraction((-1) ** (koz % 2)) * c * cc
-        return vec_clean(out)
+                vec_axpy(out, Fraction((-1) ** (koz % 2)) * c, t)
+        return out
 
     # -- transposes ---------------------------------------------------------
     def transpose(self, dP):
@@ -1407,29 +1354,22 @@ class SchoutenDualModel:
         T = {}
         for z in self.P:
             for z0, c in dP(z).items():
-                d = T.setdefault(z0, {})
-                d[z] = d.get(z, Fraction(0)) + c
+                vec_acc(T.setdefault(z0, {}), z, c)
         return T
 
     def apply_T(self, T, x_g):
         out = {}
         for z, c in x_g.items():
-            col = T.get(z)
-            if not col:
-                continue
-            for z2, c2 in col.items():
-                out[z2] = out.get(z2, Fraction(0)) + c * c2
-        return vec_clean(out)
+            vec_axpy(out, c, T.get(z, {}))
+        return out
 
     def func_to_gens(self, f):
         """Functional f: z -> {letter: coeff} transposed to generator values."""
         gv = {}
         for z, col in f.items():
             for v, c in col.items():
-                d = gv.setdefault(v, {})
-                d[z] = d.get(z, Fraction(0)) + c
-        return {v: self.g2p(vec_clean(el))
-                for v, el in gv.items() if vec_clean(el)}
+                vec_acc(gv.setdefault(v, {}), z, c)
+        return {v: self.g2p(el) for v, el in gv.items() if el}
 
 
 def functional_parity(model, z, v):
@@ -1455,12 +1395,10 @@ def hom_differential(model, T, f, parity):
         t2 = model.p2g(model.phi(model.g2p(dict(col)), gv, parity)) \
             if col else {}
         G = dict(t1)
-        for z, c in t2.items():
-            G[z] = G.get(z, Fraction(0)) - sg * c
-        for z, c in vec_clean(G).items():
-            d = out.setdefault(z, {})
-            d[m] = d.get(m, Fraction(0)) + c
-    return {z: vec_clean(col) for z, col in out.items() if vec_clean(col)}
+        vec_axpy(G, -sg, t2)
+        for z, c in G.items():
+            vec_acc(out.setdefault(z, {}), m, c)
+    return out
 
 
 def extension_report(weight_cap=3, letter_cap=3):
@@ -1483,9 +1421,8 @@ def extension_report(weight_cap=3, letter_cap=3):
         for z in P:
             acc = {}
             for z1, c in op1(z).items():
-                for z2, c2 in op2(z1).items():
-                    acc[z2] = acc.get(z2, Fraction(0)) + c * c2
-            if vec_clean(acc):
+                vec_axpy(acc, c, op2(z1))
+            if acc:
                 bad += 1
         return bad
 
@@ -1495,9 +1432,8 @@ def extension_report(weight_cap=3, letter_cap=3):
             acc = {}
             for first, second in ((dm, dbr), (dbr, dm)):
                 for z1, c in first(z).items():
-                    for z2, c2 in second(z1).items():
-                        acc[z2] = acc.get(z2, Fraction(0)) + c * c2
-            if vec_clean(acc):
+                    vec_axpy(acc, c, second(z1))
+            if acc:
                 bad += 1
         return bad
 
@@ -1522,9 +1458,8 @@ def extension_report(weight_cap=3, letter_cap=3):
         for z in P:
             got = model.p2g(model.phi(model.g2p({z: Fraction(1)}), gv, 1))
             want = model.apply_T(T, {z: Fraction(1)})
-            diff = {k: got.get(k, Fraction(0)) - want.get(k, Fraction(0))
-                    for k in set(got) | set(want)}
-            if vec_clean(diff):
+            vec_axpy(got, -1, want)
+            if got:
                 bad += 1
         report[f"extension_reproduces_{name}"] = bad == 0
     report["all_ok"] = all(v for k, v in report.items()
@@ -1599,9 +1534,7 @@ def e1_representative(ctx, v, a, b):
                     Etot += e
             if not ok or Etot > 1 or Ptot + Etot > ctx.cap:
                 continue
-            u = (Ptot, Etot)
-            col[u] = col.get(u, Fraction(0)) + Fraction(sgn) * coeff
-        col = vec_clean(col)
+            vec_acc(col, (Ptot, Etot), Fraction(sgn) * coeff)
         if col:
             out[z] = col
     return out
@@ -1684,11 +1617,9 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
                         if rep:
                             reps.append(((v, k - bb, bb), rep))
             reps_closed = all(not hom_dm(rep) for _, rep in reps)
-            ech = Echelon({lab: i for i, lab in enumerate(sources)})
-            indep = 0
-            for _, rep in reps:
-                if ech.add(_functional_vector(rep)):
-                    indep += 1
+            ech = span((_functional_vector(rep) for _, rep in reps),
+                       {lab: i for i, lab in enumerate(sources)})
+            indep = ech.rank
             spanned = all(ech.contains(kv) for kv in kernel)
             col_report[s] = {
                 "dim": len(kernel),
@@ -1715,12 +1646,8 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
         kernel = kernel_basis(columns, src1,
                               {t: i for i, t in enumerate(targets)})
         src0 = [lab for lab in f0 if _functional_shift(ctx, *lab) == s]
-        ech = Echelon({lab: i for i, lab in enumerate(src1)})
-        imdim = 0
-        for lab in src0:
-            img = dm_column(*lab)
-            if vec_clean(img) and ech.add(dict(img)):
-                imdim += 1
+        imdim = span((dm_column(*lab) for lab in src0),
+                     {lab: i for i, lab in enumerate(src1)}).rank
         interior[s] = {"kernel": len(kernel), "image": imdim,
                        "cohomology": len(kernel) - imdim}
     report["interior_row_column1"] = interior
@@ -1746,9 +1673,8 @@ def _de_rham_model(v, a, b):
     if e == 1:
         out[((p, 0), a + 1, b)] = Fraction((-1) ** b * (a + 1))
     if p >= 1 and b == 0:
-        out[((p - 1, e), a, 1)] = out.get(((p - 1, e), a, 1),
-                                          Fraction(0)) - Fraction(p)
-    return vec_clean(out)
+        vec_acc(out, ((p - 1, e), a, 1), Fraction(-p))
+    return out
 
 
 def obstruction_bracket_action(weight_cap, max_columns=2):
@@ -1802,20 +1728,18 @@ def obstruction_bracket_action(weight_cap, max_columns=2):
                 for lab, c in _de_rham_model(v, a, b).items():
                     for z, col in e1_representative(ctx, *lab).items():
                         for u, cu in col.items():
-                            want[(z, u)] = want.get((z, u),
-                                                    Fraction(0)) + c * cu
-                nonempty = bool(interior(want, wlim)) or not vec_clean(want)
+                            vec_acc(want, (z, u), c * cu)
+                nonempty = bool(interior(want, wlim)) or not want
                 diff = interior(_functional_vector(g), wlim)
-                for key, c in interior(want, wlim).items():
-                    diff[key] = diff.get(key, Fraction(0)) - c
-                case_ok = boundary_only and not vec_clean(diff) and nonempty
+                vec_axpy(diff, -1, interior(want, wlim))
+                case_ok = boundary_only and not diff and nonempty
                 ok = ok and case_ok
                 report["cases"].append({
                     "column": k, "value": list(v), "powers": [a, b],
                     "window_weight": wlim,
                     "residual_in_window_zero": boundary_only,
                     "window_nonempty": nonempty,
-                    "matches_de_rham": not vec_clean(diff),
+                    "matches_de_rham": not diff,
                     "ok": case_ok,
                 })
     report["all_ok"] = ok
@@ -1854,13 +1778,10 @@ def obstruction_vanishing(weight_cap, generators=2):
         prev_rank = 0
         for k in cols:
             src = by_col[k]
-            columns = {lab: _de_rham_model(*lab) for lab in src}
-            targets = sorted({u for vec in columns.values() for u in vec})
-            ker = kernel_basis(columns, src,
-                              {u: i for i, u in enumerate(targets)})
-            # rank of D out of this column = dim - dim ker
-            rank = len(src) - len(ker)
-            dims[k] = len(ker) - prev_rank
+            columns = [_de_rham_model(*lab) for lab in src]
+            targets = sorted({u for vec in columns for u in vec})
+            rank = span(columns, {u: i for i, u in enumerate(targets)}).rank
+            dims[k] = len(src) - rank - prev_rank
             prev_rank = rank
         expected = {k: (1 if (t == 0 and k == 0) else 0) for k in cols}
         match = dims == expected
@@ -2011,11 +1932,8 @@ def hom_commutator_report(weight_cap=3, letter_cap=3):
                 boundary = False
         acc = _functional_vector(
             hom_differential(model, Tb, gm, par + 1) if gm else {})
-        for key, c in _functional_vector(
-                hom_differential(model, Tm, gb, par + 1)
-                if gb else {}).items():
-            acc[key] = acc.get(key, Fraction(0)) + c
-        acc = vec_clean(acc)
+        vec_axpy(acc, 1, _functional_vector(
+            hom_differential(model, Tm, gb, par + 1) if gb else {}))
         if acc:
             ac_res += 1
             if any(ctx.z_weight(zz) + shift <= weight_cap

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from .exact_chain import vec_acc, vec_axpy
+
 
 class CompositionError(Exception):
     pass
@@ -204,13 +206,7 @@ class OperadElement:
 
     def __init__(self, arity: int, terms: Optional[Mapping] = None):
         self.arity = arity
-        self.terms = {}
-        if terms:
-            for t, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[t] = self.terms.get(t, Fraction(0)) + c
-            self.terms = {t: c for t, c in self.terms.items() if c}
+        self.terms = {t: Fraction(c) for t, c in (terms or {}).items() if c}
 
     @classmethod
     def from_tree(cls, t: Tree, coeff=1) -> "OperadElement":
@@ -238,8 +234,7 @@ class OperadElement:
         if self.arity != other.arity:
             raise CompositionError("adding elements of different arity")
         merged = dict(self.terms)
-        for t, c in other.terms.items():
-            merged[t] = merged.get(t, Fraction(0)) + c
+        vec_axpy(merged, 1, other.terms)
         return OperadElement(self.arity, merged)
 
     def scale(self, c) -> "OperadElement":
@@ -253,11 +248,14 @@ class OperadElement:
 
     def map_trees(self, fn) -> "OperadElement":
         """fn(tree) -> OperadElement; extended linearly."""
-        out = None
+        arity, terms = None, {}
         for t, c in self.terms.items():
-            piece = fn(t).scale(c)
-            out = piece if out is None else out.add(piece)
-        return out if out is not None else OperadElement.zero(self.arity)
+            piece = fn(t)
+            if arity is not None and piece.arity != arity:
+                raise CompositionError("adding elements of different arity")
+            arity = piece.arity
+            vec_axpy(terms, c, piece.terms)
+        return OperadElement(self.arity if arity is None else arity, terms)
 
     def permute(self, perm: Mapping) -> "OperadElement":
         """Relabel inputs: leaf labeled l becomes perm[l] (no sign; the sign
@@ -292,12 +290,12 @@ def graft(outer: OperadElement, inner: OperadElement, i: int) -> OperadElement:
     """Operadic insertion of inner at slot i of outer (unit-compatible)."""
     if not 1 <= i <= outer.arity:
         raise CompositionError(f"position {i} out of range")
-    out = OperadElement.zero(outer.arity + inner.arity - 1)
+    terms = {}
     for to, co in outer.terms.items():
         for ti, ci in inner.terms.items():
             s, t = _graft_tree(to, ti, i)
-            out = out.add(OperadElement(out.arity, {t: s * co * ci}))
-    return out
+            vec_acc(terms, t, s * co * ci)
+    return OperadElement(outer.arity + inner.arity - 1, terms)
 
 
 def replace_vertex(tree: Tree, path: tuple, value: OperadElement) -> OperadElement:
@@ -318,7 +316,7 @@ def replace_vertex(tree: Tree, path: tuple, value: OperadElement) -> OperadEleme
     r = len(target.children)
     child_degs = [tree_degree(c) for c in target.children]
 
-    out = OperadElement.zero(tree_arity(tree))
+    terms = {}
     for s, c in value.terms.items():
         if tree_arity(s) != r:
             raise CompositionError("replacement arity mismatch")
@@ -359,8 +357,8 @@ def replace_vertex(tree: Tree, path: tuple, value: OperadElement) -> OperadEleme
             return Node(u.symbol, tuple(rebuild(ch, p + (i,))
                                         for i, ch in enumerate(u.children)))
 
-        out = out.add(OperadElement(out.arity, {rebuild(tree, ()): sign * c}))
-    return out
+        vec_acc(terms, rebuild(tree, ()), sign * c)
+    return OperadElement(tree_arity(tree), terms)
 
 
 class FreeDifferential:
@@ -382,16 +380,17 @@ class FreeDifferential:
         return v if v is not None else OperadElement.zero(g.arity)
 
     def __call__(self, e: OperadElement) -> OperadElement:
-        out = OperadElement.zero(e.arity)
+        terms = {}
         for t, c in e.terms.items():
             before = 0
             for path, sym in tree_vertices(t):
                 dval = self.value(sym)
                 if not dval.is_zero():
                     sign = -1 if (before % 2) else 1
-                    out = out.add(replace_vertex(t, path, dval).scale(sign * c))
+                    vec_axpy(terms, sign * c,
+                             replace_vertex(t, path, dval).terms)
                 before += sym.degree
-        return out
+        return OperadElement(e.arity, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from fractions import Fraction
 
 from . import associahedra as ah
 from .coalgebra_operad import counit_morphism, delta_cell
-from .exact_chain import Complex, Echelon, GradedMap, GradedSpace
+from .exact_chain import (Complex, GradedMap, GradedSpace, span, vec_acc,
+                          vec_axpy)
 from .operad_core import (
     GeneratorSymbol, Leaf, Node, OperadElement, ShiftedElement, corolla,
     format_tree, graft, leaf_labels, parity_sign, perm_sgn, relabel,
@@ -238,19 +239,6 @@ def word_nops(w) -> int:
     return sum(expr_nops(x) for x in w)
 
 
-def _acc(out: dict, key, c):
-    v = out.get(key, 0) + c
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
-
-
-def _scaled_merge(out: dict, other: dict, c=1):
-    for k, v in other.items():
-        _acc(out, k, c * v)
-
-
 def truncate_words(ws: dict, max_weight: int) -> dict:
     return {w: c for w, c in ws.items() if word_nops(w) <= max_weight}
 
@@ -286,7 +274,7 @@ def _delta_iter(ctx, t, r: int) -> dict:
     out = {}
     for comps, c in _delta_iter(ctx, t, r - 1).items():
         for (a, b), c2 in ctx.delta(comps[0]).items():
-            _acc(out, (a, b) + comps[1:], c * c2)
+            vec_acc(out, (a, b) + comps[1:], c * c2)
     return out
 
 
@@ -338,7 +326,7 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
             nb = blocks[:i] + blocks[i + 1:]
             out = {}
             for s, c in ctx.insert0(t, i + 1).items():
-                _scaled_merge(out, phi1_tree(ctx, s, nb, par), c)
+                vec_axpy(out, c, phi1_tree(ctx, s, nb, par))
             return out
 
     if len(tree_vertices(t)) == 1:
@@ -369,7 +357,7 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
             total = sum(len(b) for b in chblocks)
             opts = {}
             for s in range(0, total + 1):
-                _scaled_merge(opts, phi_rank(ctx, local, chblocks, s, par))
+                vec_axpy(opts, 1, phi_rank(ctx, local, chblocks, s, par))
             infos.append(list(opts.items()))
         pos += a
 
@@ -383,7 +371,7 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
             coeff *= combo[j][1]
         words = tuple(w for (w, _) in combo)
         sub = phi1_tree(ctx, corolla(t.symbol), words, par)
-        _scaled_merge(out, sub, sign * coeff)
+        vec_axpy(out, sign * coeff, sub)
     return out
 
 
@@ -458,7 +446,7 @@ def _phi_rank(ctx, t, blocks, r: int, par) -> dict:
                 c = c0 * sign
                 for (_, ci) in picks:
                     c *= ci
-                _acc(out, word, c)
+                vec_acc(out, word, c)
     return out
 
 
@@ -467,7 +455,7 @@ def phi_full(ctx, t, blocks, par) -> dict:
     out = {}
     total = sum(len(b) for b in blocks)
     for r in range(0, total + 1):
-        _scaled_merge(out, phi_rank(ctx, t, blocks, r, par))
+        vec_axpy(out, 1, phi_rank(ctx, t, blocks, r, par))
     return out
 
 
@@ -487,7 +475,7 @@ def expand_corestriction(x, profile, rank: int = 1, ctx_name: str = "A",
     chain = x if isinstance(x, OperadElement) else _el(x)
     out = {}
     for t, c in chain.terms.items():
-        _scaled_merge(out, phi_rank(ctx, t, blocks, rank, par), c)
+        vec_axpy(out, c, phi_rank(ctx, t, blocks, rank, par))
     return out
 
 
@@ -519,8 +507,7 @@ def lift(exprs: dict, arity: int) -> OperadElement:
     never produce interleaving signs."""
     terms = {}
     for e, c in exprs.items():
-        t = _lift_expr(e)
-        terms[t] = terms.get(t, F(0)) + c
+        vec_acc(terms, _lift_expr(e), c)
     return OperadElement(arity, terms)
 
 
@@ -558,7 +545,7 @@ def evaluate(e, parities) -> dict:
     for t, c in e.terms.items():
         s0 = parity_sign(tuple(leaf_labels(t)), degs)
         sgn, ex = _eval_tree(t, par)
-        _acc(out, ex, c * s0 * sgn)
+        vec_acc(out, ex, c * s0 * sgn)
     return out
 
 
@@ -578,14 +565,14 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
         raise OXError("not an O(X) generator")
     if p[0] == _D:
         k = p[1]
-        out = OperadElement.zero(k)
+        terms = {}
         for r in range(2, k):
             j = k - r + 1
             outer = _el(corolla(d_symbol(r)))
             inner = _el(corolla(d_symbol(j)))
             for a in range(1, r + 1):
-                out = out.sub(graft(outer, inner, a))
-        return out
+                vec_axpy(terms, -1, graft(outer, inner, a).terms)
+        return OperadElement(k, terms)
 
     _, ctx_name, cell, profile = p
     ctx = context(ctx_name)
@@ -596,11 +583,11 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
     total = {}
     # phi of the cell boundary
     for t, c in ctx.boundary(cell).items():
-        _scaled_merge(total, phi1_tree(ctx, t, blocks, par), c)
+        vec_axpy(total, c, phi1_tree(ctx, t, blocks, par))
     # minus D applied to the higher corestriction ranks
     for s in range(2, n + 1):
         for w, c in phi_rank(ctx, cell, blocks, s, par).items():
-            _acc(total, App(d_symbol(s), w), -c)
+            vec_acc(total, App(d_symbol(s), w), -c)
     # plus (sign |cell|) a D inserted into each block
     csign = -1 if tree_degree(cell) % 2 else 1
     for l, k in enumerate(profile):
@@ -617,7 +604,7 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
                         args.extend(blocks[l][:pstart])
                         args.append(App(d_symbol(j), seg))
                         args.extend(blocks[l][pstart + j:])
-                _acc(total, App(nsym, tuple(args)), csign)
+                vec_acc(total, App(nsym, tuple(args)), csign)
     return lift(total, n)
 
 
@@ -723,10 +710,7 @@ def equal_in_O(e1: OperadElement, e2: OperadElement, operad: str = "B") -> bool:
     for v in rels:
         trees.update(v.terms)
     index = {t: i for i, t in enumerate(sorted(trees, key=lambda u: u.sort_key()))}
-    ech = Echelon(index)
-    for v in rels:
-        ech.add(dict(v.terms))
-    return ech.contains(dict(d.terms))
+    return span((v.terms for v in rels), index).contains(d.terms)
 
 
 def bracket() -> OperadElement:
@@ -829,7 +813,7 @@ def shuffle_words(w1, w2, par) -> dict:
                     sign = -sign
                 word.append(w2[i2])
                 i2 += 1
-        _acc(out, tuple(word), sign)
+        vec_acc(out, tuple(word), sign)
     return out
 
 
@@ -838,7 +822,7 @@ def shuffle_many(words, par) -> dict:
     for w in words:
         nxt = {}
         for acc_w, c in out.items():
-            _scaled_merge(nxt, shuffle_words(acc_w, w, par), c)
+            vec_axpy(nxt, c, shuffle_words(acc_w, w, par))
         out = nxt
     return out
 
@@ -879,7 +863,7 @@ def t_chi(chi, chi_opdeg: int, words, par) -> dict:
         for fw, fc in fsh.items():
             for e, mc in midval.items():
                 for lw, lc in lsh.items():
-                    _acc(out, fw + (e,) + lw, sign * fc * mc * lc)
+                    vec_acc(out, fw + (e,) + lw, sign * fc * mc * lc)
     return out
 
 
@@ -912,17 +896,15 @@ def _phi_lower(i: int, blocks, par) -> dict:
         return {}
     out = {}
     for t, c in ah.fundamental_class(i).terms.items():
-        _scaled_merge(out, phi1_tree(A_CONTEXT, t, blocks, par), c)
+        vec_axpy(out, c, phi1_tree(A_CONTEXT, t, blocks, par))
     return out
 
 
 def holie_gen(k: int) -> OperadElement:
     """phi of the fundamental class of the k-th associahedron, with unit
     blocks: the arity-k generator chain of the bracket family."""
-    out = OperadElement.zero(k)
-    for t, c in ah.fundamental_class(k).terms.items():
-        out = out.add(_el(corolla(phi_symbol("A", t, (1,) * k)), c))
-    return out
+    return OperadElement(k, {corolla(phi_symbol("A", t, (1,) * k)): c
+                             for t, c in ah.fundamental_class(k).terms.items()})
 
 
 def check_coproduct_rule(cell, profile, parities) -> bool:
@@ -938,11 +920,10 @@ def check_coproduct_rule(cell, profile, parities) -> bool:
         return phi1_tree(A_CONTEXT, cell, mids, par)
 
     rhs = {}
-    _scaled_merge(rhs, t_chi(chi, tree_degree(cell), blocks, par),
-                  RULE_CHI_SIGN)
+    vec_axpy(rhs, RULE_CHI_SIGN, t_chi(chi, tree_degree(cell), blocks, par))
     e = A_CONTEXT.eps(cell)
     if e:
-        _scaled_merge(rhs, shuffle_many(blocks, par), RULE_EPS_SIGN * e)
+        vec_axpy(rhs, RULE_EPS_SIGN * e, shuffle_many(blocks, par))
     rhs = truncate_words(rhs, 1)
     return lhs == rhs
 
@@ -962,7 +943,7 @@ def check_differential_rule(k: int, parities) -> bool:
         for w, c in cup.items():
             blocks = ([(i,) for i in range(1, r)] + [w]
                       + [(i,) for i in range(r + 2, k + 1)])
-            _scaled_merge(rhs, _phi_lower(k - 1, blocks, par), sign * c)
+            vec_axpy(rhs, sign * c, _phi_lower(k - 1, blocks, par))
     # compositions through the three-split extension
     for i in range(1, k + 1):
         j = k + 1 - i
@@ -983,7 +964,7 @@ def check_differential_rule(k: int, parities) -> bool:
             for w, c in tval.items():
                 blocks = ([(x,) for x in range(1, l)] + [w]
                           + [(x,) for x in range(l + j, k + 1)])
-                _scaled_merge(rhs, _phi_lower(i, blocks, par), ext * c)
+                vec_axpy(rhs, ext * c, _phi_lower(i, blocks, par))
     rhs = truncate_exprs(rhs, 2)
     return lhs == rhs
 
@@ -1014,11 +995,11 @@ def holie_map(k: int) -> OperadElement:
     relabelings, signed by the permutation (Koszul factors reappear on
     evaluation)."""
     base = holie_gen(k)
-    out = OperadElement.zero(k)
+    terms = {}
     for images in itertools.permutations(range(1, k + 1)):
         perm = {i + 1: images[i] for i in range(k)}
-        out = out.add(base.permute(perm).scale(perm_sgn(images)))
-    return out
+        vec_axpy(terms, perm_sgn(images), base.permute(perm).terms)
+    return OperadElement(k, terms)
 
 
 def _to_B_image(sym: GeneratorSymbol) -> OperadElement:
@@ -1043,10 +1024,7 @@ def _to_B_image(sym: GeneratorSymbol) -> OperadElement:
 def to_B(e: OperadElement) -> OperadElement:
     """The counit-induced morphism O(A) -> O(As): each cell generator goes
     to its counit value times the comb expansion of the multiplication."""
-    out = OperadElement.zero(e.arity)
-    for t, c in e.terms.items():
-        out = out.add(_subst_tree(t, _to_B_image).scale(c))
-    return out
+    return e.map_trees(lambda t: _subst_tree(t, _to_B_image))
 
 
 def _subst_tree(t, img) -> OperadElement:
@@ -1072,7 +1050,7 @@ def holie_vanishing(k: int, rank: int, parities) -> dict:
     blocks = _letter_blocks((1,) * k)
     out = {}
     for t, c in ah.fundamental_class(k).terms.items():
-        _scaled_merge(out, phi_rank(A_CONTEXT, t, blocks, rank, par), c)
+        vec_axpy(out, c, phi_rank(A_CONTEXT, t, blocks, rank, par))
     return out
 
 

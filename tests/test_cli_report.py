@@ -99,3 +99,19 @@ def test_cli_subprocess_byte_identical(tmp_path):
     # copy of operadlab that shadows this checkout in the child shows here.
     expected = cli.export(cli.run("hochschild", seed=5), "json")
     assert a.stdout == expected.encode()
+
+
+@pytest.mark.parametrize("wrong", ["insertion_sign", "printed_d_m11"])
+def test_sign_conventions_check_fails_on_a_wrong_sign(monkeypatch, wrong):
+    if wrong == "insertion_sign":
+        # the bare position factor (-1)^((l-1)(j-1)), without the Koszul
+        # correction the report states
+        monkeypatch.setattr(cli.ah, "insertion_sign",
+                            lambda i, j, l: -1 if (l - 1) * (j - 1) % 2 else 1)
+    else:
+        text = cli.ox.signs_report().replace("= -(m_2", "= (m_2")
+        monkeypatch.setattr(cli.ox, "signs_report", lambda: text)
+    checks = {c["name"]: c for c in cli._suite_bop(4, 3, 0)}
+    assert checks["sign_conventions"]["pass"] is False
+    assert all(c["pass"] for name, c in checks.items()
+               if name != "sign_conventions")

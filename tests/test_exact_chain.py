@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from operadlab.exact_chain import (
     Complex, Echelon, GradedMap, GradedSpace, InhomogeneousRelation,
-    StructuralFailure, kernel_basis, quotient, tensor_map, tensor_space,
-    vec_add, vec_is_zero, vec_scale, vec_sub,
+    StructuralFailure, kernel_basis, quotient, span, tensor_map,
+    tensor_space, vec_acc, vec_axpy, vec_is_zero, vec_scale,
 )
 
 
@@ -18,9 +18,22 @@ def F(x):
 def test_vector_arithmetic():
     u = {"a": F(1), "b": F(2)}
     v = {"b": F(-2), "c": F(3)}
-    assert vec_add(u, v) == {"a": F(1), "c": F(3)}
-    assert vec_sub(u, u) == {}
+    w = dict(u)
+    vec_axpy(w, 1, v)
+    assert w == {"a": F(1), "c": F(3)}
+    w = dict(u)
+    vec_axpy(w, -1, u)
+    assert w == {}
     assert vec_is_zero(vec_scale(0, u))
+
+
+def test_vec_acc_drops_zeros_and_keeps_integers():
+    acc = {}
+    vec_acc(acc, "x", 2)
+    vec_acc(acc, "x", 3)
+    assert acc == {"x": 5} and type(acc["x"]) is int
+    vec_acc(acc, "x", -5)
+    assert acc == {}
 
 
 def test_graded_map_shift_validation():
@@ -164,3 +177,71 @@ def test_echelon_reduce_is_idempotent(xs, ys):
     v = {labels[i % 6]: F(y) for i, y in enumerate(ys) if y}
     r = ech.reduce(v)
     assert ech.reduce(r) == r
+
+
+# ---------------------------------------------------------------------------
+# the elimination engine on random sparse columns
+
+@st.composite
+def sparse_columns(draw):
+    """(columns over targets t0.., target index in a random order)."""
+    m = draw(st.integers(1, 6))
+    cols = draw(st.lists(
+        st.dictionaries(st.sampled_from([f"t{j}" for j in range(m)]),
+                        st.integers(-3, 3).filter(bool).map(F), max_size=m),
+        min_size=1, max_size=8))
+    order = draw(st.permutations([f"t{j}" for j in range(m)]))
+    return cols, {t: i for i, t in enumerate(order)}
+
+
+def _apply(combo, vectors):
+    out = {}
+    for tag, c in combo.items():
+        vec_axpy(out, c, vectors[tag])
+    return out
+
+
+@given(sparse_columns())
+def test_echelon_rows_are_normalized_and_back_reduced(case):
+    cols, index = case
+    ech = span(cols, index)
+    for p, row in ech.rows.items():
+        assert row[p] == 1
+        assert min(row, key=index.__getitem__) == p
+        assert not set(row) & (set(ech.rows) - {p})
+    assert ech.rank == len(cols) - len(
+        kernel_basis(dict(enumerate(cols)), list(range(len(cols))), index))
+
+
+@given(sparse_columns())
+def test_kernel_vectors_are_normalized_on_earlier_independent_sources(case):
+    cols, index = case
+    sources = list(range(len(cols)))
+    independent = []
+    ech = Echelon(index)
+    for s in sources:
+        if ech.add(cols[s]) is not None:
+            independent.append(s)
+    dependent = [s for s in sources if s not in independent]
+    kernel = kernel_basis(dict(enumerate(cols)), sources, index)
+    assert len(kernel) == len(dependent)
+    for s, k in zip(dependent, kernel):
+        assert k[s] == 1
+        assert set(k) - {s} <= {i for i in independent if i < s}
+        assert _apply(k, cols) == {}
+
+
+@given(sparse_columns(), st.lists(st.integers(-2, 2), max_size=8))
+def test_tagged_dependent_vector_leaves_a_relation(case, coeffs):
+    cols, index = case
+    ech = Echelon(index)
+    for i, col in enumerate(cols):
+        ech.add(col, tag=i)
+    combo = {}
+    for i, c in zip(range(len(cols)), coeffs):
+        vec_axpy(combo, F(c), cols[i])
+    vectors = dict(enumerate(cols))
+    vectors["new"] = combo
+    assert ech.add(combo, tag="new") is None
+    assert ech.relation["new"] == 1
+    assert _apply(ech.relation, vectors) == {}

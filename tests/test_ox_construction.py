@@ -12,8 +12,9 @@ from operadlab.ox_construction import (
     check_Gg_and_tri, d_symbol, diff, equal_in_O, evaluate,
     expand_corestriction, expr_opdeg, filtration_weight, holie_gen,
     holie_map, holie_vanishing, jacobiator, lift, mm_symbol, phi_symbol,
-    signs_report, to_B, write_signs, _acc,
+    signs_report, to_B, write_signs,
 )
+from operadlab.exact_chain import vec_acc
 
 F = Fraction
 el = OperadElement.from_tree
@@ -94,11 +95,11 @@ def test_commutator_rank2_vanishes():
         for t, c in ah.fundamental_class(2).terms.items():
             for w, c2 in ox.phi_rank(ox.A_CONTEXT, t, ((2,), (1,)), 2,
                                      par).items():
-                _acc(b, w, c * c2)
+                vec_acc(b, w, c * c2)
         comm = dict(a)
         sgn = -1 if (p1 and p2) else 1
         for w, c in b.items():
-            _acc(comm, w, -sgn * c)
+            vec_acc(comm, w, -sgn * c)
         assert not comm, (p1, p2)
 
 
@@ -137,7 +138,7 @@ def _expr_substitute(ea, eb, i, pa, nb):
                 return App(x.symbol, tuple(repl(a) for a in x.args))
             pre = sum(pa[l] for l in range(1, i)) % 2
             s = -1 if (opb % 2 and pre) else 1
-            _acc(out, repl(xa), s * ca * cb)
+            vec_acc(out, repl(xa), s * ca * cb)
     return out
 
 
