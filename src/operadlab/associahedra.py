@@ -147,6 +147,7 @@ class CellComplex:
                 entries[t] = dict(col.terms)
         self.d = GradedMap(self.space, self.space, (1,), entries)
         self.complex = Complex(self.space, self.d)  # checks d*d = 0
+        self._homology = None
 
     def cells_of_dimension(self, k: int):
         return [t for t in self.space.labels if tree_degree(t) == -k]
@@ -161,7 +162,11 @@ class CellComplex:
         return self.complex.euler_characteristic()
 
     def homology_dims(self) -> dict:
-        return {-k: v for k, v in self.complex.homology_dims().items()}
+        """Betti numbers by cell dimension, computed once per complex."""
+        if self._homology is None:
+            self._homology = {-k: v for k, v in
+                              self.complex.homology_dims().items()}
+        return dict(self._homology)
 
     def top_dimension(self) -> int:
         return max((dimension(t) for t in self.cells), default=0)

@@ -20,6 +20,7 @@ from . import coalgebra_operad as co
 from . import ox_construction as ox
 from . import hochschild_lab as hl
 from .exact_chain import vec_acc
+from .operad_core import OperadElement, corolla
 
 SUITES = ("associahedra", "coalgebra", "bop", "obstruction",
           "hochschild", "all")
@@ -36,15 +37,18 @@ def _check(checks, name, ok, **data):
                    "data": {k: data[k] for k in sorted(data)}})
 
 
+def _homology_of_point(cx) -> bool:
+    """Whether the cell complex has the homology of a point."""
+    dims = cx.homology_dims()
+    return dims.get(0) == 1 and all(v == 0 for k, v in dims.items() if k)
+
+
 def _suite_associahedra(max_arity, weight_cap, seed):
     checks = []
     for n in range(2, max_arity + 1):
         cx = ah.decompose(n)  # construction certifies d^2 = 0
-        dims = cx.homology_dims()
-        point = dims.get(0) == 1 and all(
-            v == 0 for k, v in dims.items() if k != 0)
         _check(checks, f"K{n}_contractible",
-               point and cx.euler_characteristic() == 1,
+               _homology_of_point(cx) and cx.euler_characteristic() == 1,
                counts={str(k): v for k, v in sorted(cx.counts().items())})
     if max_arity >= 4:
         _check(checks, "K4_cell_counts",
@@ -73,13 +77,10 @@ def _suite_coalgebra(max_arity, weight_cap, seed):
     quasi = True
     for n in range(2, max_arity + 1):
         cx = ah.decompose(n)
-        dims = cx.homology_dims()
-        if not (dims.get(0) == 1
-                and all(v == 0 for k, v in dims.items() if k != 0)):
+        if not _homology_of_point(cx):
             quasi = False
             continue
         _, reps = cx.complex.homology(0)
-        from .operad_core import OperadElement
         if co.counit_morphism(OperadElement(n, reps[0])) == 0:
             quasi = False
     _check(checks, "counit_quasi_isomorphism", quasi,
@@ -88,7 +89,6 @@ def _suite_coalgebra(max_arity, weight_cap, seed):
 
 
 def _suite_bop(max_arity, weight_cap, seed):
-    from .operad_core import OperadElement, corolla
     checks = []
     el = OperadElement.from_tree
     ok_d = True
@@ -122,7 +122,6 @@ def _signs_report_holds(text):
     stated d m_(1,1) is ox.diff of that generator, and the stated
     insertion-sign exponents give associahedra.insertion_sign for
     2 <= i, j <= 6 and every slot l."""
-    from .operad_core import OperadElement, corolla
     dm = re.search(r"d m_\(1,1\) = (-?)\(m_2\(x(\d),x(\d)\) \+ "
                    r"m_2\(x(\d),x(\d)\)\)", text)
     exponents = re.findall(

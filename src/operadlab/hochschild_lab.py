@@ -37,11 +37,13 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from math import factorial as _factorial
 
 from .exact_chain import (
     Complex, Echelon, GradedMap, GradedSpace, kernel_basis, span, vec_acc,
     vec_axpy, vec_clean, vec_scale,
 )
+from .operad_core import parity_sign, signed_shuffles
 
 F = Fraction
 
@@ -427,7 +429,7 @@ class CochainWordSum:
     A word shape is the tuple of arities; within a shape the sum is a list
     of (coefficient, cochain tuple) terms.  Used only by the bialgebra
     validator, so no normal form beyond dropping zero cochains is needed;
-    equality is tested by evaluation."""
+    equality is tested through `is_zero`."""
 
     def __init__(self, algebra: Algebra, terms=()):
         self.algebra = algebra
@@ -444,26 +446,40 @@ class CochainWordSum:
         return CochainWordSum(self.algebra,
                               [(F(c) * a, w) for a, w in self.terms])
 
-    def to_dict(self) -> dict:
-        """Expand into coordinates over elementary tensors of basis
-        cochains: key = ((args_1, out_1), ..., (args_r, out_r))."""
-        out = {}
-        for c, word in self.terms:
-            pools = []
-            for x in word:
-                pool = [(args, k, v) for args, col in x.values.items()
-                        for k, v in col.items()]
-                pools.append(pool)
-            for combo in itertools.product(*pools):
-                key = tuple((args, k) for args, k, _ in combo)
-                coeff = c
-                for _, _, v in combo:
-                    coeff *= v
-                vec_acc(out, key, coeff)
-        return out
-
     def is_zero(self) -> bool:
-        return not self.to_dict()
+        """Exact zero test, one tensor factor at a time.
+
+        Terms whose words are equal as values merge first; the rest split
+        by the coordinate (arity, args, k) of their first cochain, and each
+        split must vanish on the remaining factors."""
+        keys = {}  # id of a cochain -> its value; cochains are unhashable
+
+        def key(x):
+            k = keys.get(id(x))
+            if k is None:
+                k = keys[id(x)] = (x.arity, tuple(sorted(
+                    (args, tuple(sorted(col.items())))
+                    for args, col in x.values.items())))
+            return k
+
+        def zero(terms):
+            merged = {}
+            for c, word in terms:
+                merged.setdefault(tuple(map(key, word)), [0, word])[0] += c
+            split = {}
+            for c, word in merged.values():
+                if not c:
+                    continue
+                if not word:
+                    return False
+                x, rest = word[0], word[1:]
+                for args, col in x.values.items():
+                    for k, v in col.items():
+                        split.setdefault((x.arity, args, k), []).append(
+                            (c * v, rest))
+            return all(zero(ts) for ts in split.values())
+
+        return zero(self.terms)
 
 
 def _word_sign_prefix(word, i):
@@ -538,11 +554,7 @@ def coalgebra_product(xs, ys) -> CochainWordSum:
                 order.append(j)
                 for t in range(b, c):
                     order.append(k + t)
-        sign = 1
-        for p in range(len(order)):
-            for q in range(p + 1, len(order)):
-                if order[p] > order[q]:
-                    sign *= (-1) ** (degs[order[p]] * degs[order[q]])
+        sign = parity_sign([o + 1 for o in order], degs)
         word = []
         for item in seq:
             if item[0] == "y":
@@ -670,40 +682,32 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _odd_shuffle(u, v):
-    """Shuffles of two all-odd-letter words with Koszul (inversion) signs."""
-    ku, kv = len(u), len(v)
-    for pos in itertools.combinations(range(ku + kv), ku):
-        posset = set(pos)
-        inv = sum(1 for a in pos for b in range(ku + kv)
-                  if b > a and b not in posset)
-        # inv counts pairs (u-letter before a later v-letter) transposed by
-        # the interleaving; all letters odd, so the sign is (-1)^inv
-        word = []
-        ui = vi = 0
-        for p in range(ku + kv):
-            if p in posset:
-                word.append(u[ui]); ui += 1
-            else:
-                word.append(v[vi]); vi += 1
-        yield (-1) ** (inv % 2), tuple(word)
-
-
-def _shuffle_relation(w, cut):
+def shuffle_relation(w, cut, parity):
     """The signed shuffle of the two pieces of w cut at position `cut`."""
     rel = {}
-    for sg, sw in _odd_shuffle(w[:cut], w[cut:]):
+    for sg, sw in signed_shuffles(w[:cut], w[cut:], parity):
         vec_acc(rel, sw, Fraction(sg))
     return rel
 
 
+def shuffle_quotient(raws, parity):
+    """(basis, echelon) of the span of the words `raws` modulo signed
+    shuffles.  `raws` lists every word of one letter count, in index order,
+    so the relations of every cut of every raw word span all relations."""
+    ech = span((shuffle_relation(w, cut, parity)
+                for w in raws for cut in range(1, len(w))),
+               {w: i for i, w in enumerate(raws)})
+    return [w for w in raws if w not in ech.rows], ech
+
+
+def _odd(letter):
+    """Parity of a Harrison letter: every letter sits in odd degree."""
+    return 1
+
+
 def _harrison_word_block(k, s):
     """(basis, echelon) of weight-s length-k words modulo signed shuffles."""
-    raws = sorted(_compositions(s, k))
-    ech = span((_shuffle_relation(w, cut) for w in raws for cut in range(1, k)),
-               {w: i for i, w in enumerate(raws)})
-    basis = [w for w in raws if w not in ech.rows]
-    return basis, ech
+    return shuffle_quotient(sorted(_compositions(s, k)), _odd)
 
 
 def _harrison_boundary_raw(word, c):
@@ -818,7 +822,7 @@ def harrison_boundary_descends(weight):
                 for cut in range(1, k):
                     # boundary of the relation, reduced in the quotient
                     acc = {}
-                    for rw, coeff in _shuffle_relation(w, cut).items():
+                    for rw, coeff in shuffle_relation(w, cut, _odd).items():
                         for (mw, mc), mcoeff in _harrison_boundary_raw(
                                 rw, c).items():
                             if not mw:
@@ -844,10 +848,6 @@ def harrison_boundary_descends(weight):
 # artifacts confined to the weight boundary (see boundary reports below).
 # ---------------------------------------------------------------------------
 
-import itertools as _it
-from math import factorial as _factorial
-
-
 class SchoutenTruncation:
     """Finite model of P = S((T(V[1])/shuffles)[1])[-1] for V = Q[u, xi].
 
@@ -871,8 +871,7 @@ class SchoutenTruncation:
         else:
             raise ValueError("generators must be 0 or 2")
         self.monos.sort()
-        self._wordbasis = {}
-        self._wordech = {}
+        self._wordblock = {}
         self._pbasis = None
 
     # -- letters -----------------------------------------------------------
@@ -927,44 +926,12 @@ class SchoutenTruncation:
         """Parity of the word as a component of P (one extra shift)."""
         return (self.word_par(w) + 1) % 2
 
-    def shuffles(self, u, v):
-        ku, kv = len(u), len(v)
-        for pos in _it.combinations(range(ku + kv), ku):
-            slots = [None] * (ku + kv)
-            for i, p in enumerate(pos):
-                slots[p] = (0, i)
-            vi = 0
-            for p in range(ku + kv):
-                if slots[p] is None:
-                    slots[p] = (1, vi)
-                    vi += 1
-            sign = 1
-            for a in range(ku + kv):
-                for b in range(a + 1, ku + kv):
-                    (ta, ia), (tb, ib) = slots[a], slots[b]
-                    if ta == 1 and tb == 0:
-                        sign *= (-1) ** (self.par(v[ia]) * self.par(u[ib]))
-            yield sign, tuple(u[i] if t == 0 else v[i] for t, i in slots)
-
     def word_block(self, k):
         """(basis words, echelon of shuffle relations) at letter count k."""
-        if k in self._wordbasis:
-            return self._wordbasis[k], self._wordech[k]
-        raws = sorted(self.raw_words(k, self.cap))
-
-        def relation(w, s):
-            rel = {}
-            for sg, sw in self.shuffles(w[:s], w[s:]):
-                vec_acc(rel, sw, Fraction(sg))
-            return rel
-
-        # n.b. adding every split of every raw word spans all relations
-        ech = span((relation(w, s) for w in raws for s in range(1, k)),
-                   {w: i for i, w in enumerate(raws)})
-        basis = [w for w in raws if w not in ech.rows]
-        self._wordbasis[k] = basis
-        self._wordech[k] = ech
-        return basis, ech
+        if k not in self._wordblock:
+            self._wordblock[k] = shuffle_quotient(
+                sorted(self.raw_words(k, self.cap)), self.par)
+        return self._wordblock[k]
 
     def reduce_word(self, w):
         _, ech = self.word_block(len(w))
@@ -1112,8 +1079,9 @@ def schouten_d_bracket(ctx, z):
                     s0 = (-1) ** (p_la * P2 + Q1 * (P2 + p_lb)
                                   + P1 + Q1 + p_la)
                     rest = [z[r] for r in range(N) if r not in (i, j)]
-                    for s1, shpre in ctx.shuffles(pre1, pre2):
-                        for s2, shpost in ctx.shuffles(post1, post2):
+                    for s1, shpre in signed_shuffles(pre1, pre2, ctx.par):
+                        for s2, shpost in signed_shuffles(post1, post2,
+                                                          ctx.par):
                             for v, cv in br.items():
                                 neww = shpre + (v,) + shpost
                                 c = Fraction(esign * s0 * s1 * s2) * cv

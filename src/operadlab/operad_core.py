@@ -13,6 +13,7 @@ arguments.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -394,7 +395,7 @@ class FreeDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Koszul parity sign of a permutation
+# Koszul signs: of a permutation, and of the shuffles of two words
 
 def parity_sign(perm, degrees) -> int:
     """Sign of rearranging (x_1..x_n) into (x_{perm[0]}, x_{perm[1]}, ...).
@@ -411,6 +412,36 @@ def parity_sign(perm, degrees) -> int:
                 if (degrees[perm[a] - 1] % 2) and (degrees[perm[b] - 1] % 2):
                     sign = -sign
     return sign
+
+
+def signed_shuffles(u, v, parity):
+    """Shuffles of the words u and v with their Koszul signs.
+
+    Yields (sign, word), the positions of u's letters running through
+    `itertools.combinations` order.  Each letter y of v moves left past
+    the letters of u that follow it in the shuffle, picking up
+    (-1)^(parity(y) * their total parity).
+    """
+    u, v = tuple(u), tuple(v)
+    ku, n = len(u), len(u) + len(v)
+    tail = [0] * (ku + 1)  # tail[i] = total parity of u[i:]
+    for i in range(ku - 1, -1, -1):
+        tail[i] = (tail[i + 1] + parity(u[i])) % 2
+    vpar = [parity(y) % 2 for y in v]
+    for pos in itertools.combinations(range(n), ku):
+        word = []
+        sign = 1
+        ui = vi = 0
+        for p in range(n):
+            if ui < ku and pos[ui] == p:
+                word.append(u[ui])
+                ui += 1
+            else:
+                if vpar[vi] and tail[ui]:
+                    sign = -sign
+                word.append(v[vi])
+                vi += 1
+        yield sign, tuple(word)
 
 
 def perm_sgn(perm) -> int:

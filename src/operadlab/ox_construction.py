@@ -42,7 +42,7 @@ from .exact_chain import (Complex, GradedMap, GradedSpace, span, vec_acc,
 from .operad_core import (
     GeneratorSymbol, Leaf, Node, OperadElement, ShiftedElement, corolla,
     format_tree, graft, leaf_labels, parity_sign, perm_sgn, relabel,
-    tree_arity, tree_degree, tree_vertices, FreeDifferential,
+    signed_shuffles, tree_arity, tree_degree, tree_vertices, FreeDifferential,
 )
 
 F = Fraction
@@ -260,13 +260,6 @@ def _splits(word, r: int):
         yield tuple(pieces)
 
 
-def _three_splits(word):
-    n = len(word)
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            yield word[:i], word[i:j], word[j:]
-
-
 def _delta_iter(ctx, t, r: int) -> dict:
     """Iterated coproduct of a cell: r components, as (Delta x id..) o .."""
     if r == 1:
@@ -354,11 +347,7 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
             infos.append([(tuple(chblocks[0]), F1)])
         else:
             local = relabel(ch, {l: l - pos for l in leaf_labels(ch)})
-            total = sum(len(b) for b in chblocks)
-            opts = {}
-            for s in range(0, total + 1):
-                vec_axpy(opts, 1, phi_rank(ctx, local, chblocks, s, par))
-            infos.append(list(opts.items()))
+            infos.append(list(phi_full(ctx, local, chblocks, par).items()))
         pos += a
 
     out = {}
@@ -796,24 +785,9 @@ def filtration_weight(e) -> int:
 
 def shuffle_words(w1, w2, par) -> dict:
     """Signed shuffle product of two tensor words."""
-    w1, w2 = tuple(w1), tuple(w2)
     out = {}
-    n, m = len(w1), len(w2)
-    for positions in itertools.combinations(range(n + m), n):
-        posset = set(positions)
-        word = []
-        i1 = i2 = 0
-        sign = 1
-        for p in range(n + m):
-            if p in posset:
-                word.append(w1[i1])
-                i1 += 1
-            else:
-                if expr_parity(w2[i2], par) and word_parity(w1[i1:], par):
-                    sign = -sign
-                word.append(w2[i2])
-                i2 += 1
-        vec_acc(out, tuple(word), sign)
+    for sign, word in signed_shuffles(w1, w2, lambda x: expr_parity(x, par)):
+        vec_acc(out, word, sign)
     return out
 
 
@@ -838,7 +812,7 @@ def t_chi(chi, chi_opdeg: int, words, par) -> dict:
     words = tuple(tuple(w) for w in words)
     n = len(words)
     out = {}
-    for splits in itertools.product(*[list(_three_splits(w)) for w in words]):
+    for splits in itertools.product(*[list(_splits(w, 3)) for w in words]):
         firsts = [s[0] for s in splits]
         mids = tuple(s[1] for s in splits)
         lasts = [s[2] for s in splits]

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from operadlab import associahedra as ah
 from operadlab import cli_report as cli
+from operadlab.exact_chain import Complex
 
 
 def test_run_unknown_suite():
@@ -31,6 +33,24 @@ def test_json_round_trip_and_text_lines():
     assert len(lines) == len(report["checks"])
     with pytest.raises(cli.UsageError):
         cli.export(report, "xml")
+
+
+def test_cell_suites_compute_homology_once_per_arity(monkeypatch):
+    arities = range(2, 6)
+    for n in arities:  # forget what earlier tests computed
+        monkeypatch.setattr(ah.decompose(n), "_homology", None)
+    calls = []
+    rank_by_degree = Complex.rank_by_degree
+
+    def counted(self):
+        calls.append(self)
+        return rank_by_degree(self)
+
+    monkeypatch.setattr(Complex, "rank_by_degree", counted)
+    assert cli.run("associahedra", max_arity=5)["all_pass"]
+    assert cli.run("coalgebra", max_arity=5)["all_pass"]
+    assert [id(cx) for cx in calls] == [id(ah.decompose(n).complex)
+                                        for n in arities]
 
 
 def test_determinism_same_seed():

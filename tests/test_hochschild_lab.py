@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from operadlab.hochschild_lab import (
-    Algebra, Cochain, HochschildError,
+    Algebra, Cochain, CochainWordSum, HochschildError, coalgebra_D,
+    coalgebra_product,
     truncated_polynomial_algebra, zero_cochain, identity_cochain,
     multiplication_cochain, basis_cochain, hochschild_d, cup, brace,
     gerstenhaber_bracket, hochschild_complex, hh_dimensions,
@@ -146,6 +147,61 @@ def test_cup_associative_and_commutative_on_classes():
         for b in reps2:
             comm = cup(a, b).sub(cup(b, a).scale(F((-1) ** (1 * 2))))
             assert is_coboundary(comm, nmax=4)
+
+
+def expand_word_sum(s):
+    """Reference coordinates of a CochainWordSum: every term expanded into
+    elementary tensors of basis cochains, key ((args_1, out_1), ...)."""
+    out = {}
+    for c, word in s.terms:
+        pools = [[(args, k, v) for args, col in x.values.items()
+                  for k, v in col.items()] for x in word]
+        for combo in itertools.product(*pools):
+            key = tuple((args, k) for args, k, _ in combo)
+            coeff = c
+            for _, _, v in combo:
+                coeff *= v
+            out[key] = out.get(key, 0) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def test_word_sum_is_zero_matches_full_expansion():
+    alg = dual_numbers()
+    rng = random.Random(11)
+
+    def word(length):
+        return tuple(random_cochain(alg, rng.choice([1, 2]), rng)
+                     for _ in range(length))
+
+    sums = []
+    for length in (1, 2, 3):
+        w = word(length)
+        dd = CochainWordSum(alg)
+        for c, dw in coalgebra_D(w).terms:
+            dd = dd + coalgebra_D(dw).scale(c)
+        sums += [dd, coalgebra_D(w)]
+    a, b, c = word(1), word(2), word(1)
+    lhs, rhs = CochainWordSum(alg), CochainWordSum(alg)
+    for cf, w in coalgebra_product(a, b).terms:
+        lhs = lhs + coalgebra_product(w, c).scale(cf)
+    for cf, w in coalgebra_product(b, c).terms:
+        rhs = rhs + coalgebra_product(a, w).scale(cf)
+    sums += [lhs + rhs.scale(-1), lhs]
+    # (x + e) y - x y - e (y - f) = e f: cancels in every coordinate but one
+    x, y = random_cochain(alg, 2, rng), random_cochain(alg, 1, rng)
+    e, f = basis_cochain(alg, (1, 0), 1), basis_cochain(alg, (0,), 1)
+    cancelled = CochainWordSum(alg, [(1, (x.add(e), y)), (-1, (x, y))])
+    perturbed = cancelled + CochainWordSum(alg, [(-1, (e, y.sub(f)))])
+    assert len(expand_word_sum(perturbed)) == 1
+    sums += [perturbed, cancelled + CochainWordSum(alg, [(-1, (e, y))])]
+    # another output, or other arguments: a distinct coordinate
+    for args, out in (((1, 0), 0), ((0, 1), 1)):
+        other = basis_cochain(alg, args, out)
+        sums.append(CochainWordSum(alg, [(1, (e, y)), (-1, (other, y))]))
+    verdicts = [s.is_zero() for s in sums]
+    assert verdicts == [not expand_word_sum(s) for s in sums]
+    assert verdicts == [True, False] * 3 + [True, False, False, True,
+                                            False, False]
 
 
 def test_binfty_report_and_gerstenhaber_on_hh():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from operadlab.operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
     graft, leaf_labels, parity_sign, perm_sgn, replace_vertex, shift_degree,
-    shift_operad, suspension_sign, tree_degree, ShiftedElement,
+    shift_operad, signed_shuffles, suspension_sign, tree_degree,
+    ShiftedElement,
 )
 
 C2 = GeneratorSymbol("c", 2, 0)
@@ -114,6 +116,25 @@ def test_parity_sign_is_multiplicative():
             degs_s = [degs[s[k] - 1] for k in range(n)]
             assert parity_sign(st, degs) == \
                 parity_sign(s, degs) * parity_sign(t, degs_s)
+
+
+def test_signed_shuffles_are_koszul_signed_in_combinations_order():
+    rng = random.Random(5)
+    for _ in range(300):
+        ku, kv = rng.randint(0, 4), rng.randint(0, 4)
+        letters = [f"u{i}" for i in range(ku)] + [f"v{j}" for j in range(kv)]
+        par = {x: rng.randint(0, 1) for x in letters}
+        want = []
+        for pos in itertools.combinations(range(ku + kv), ku):
+            us, vs = iter(range(ku)), iter(range(ku, ku + kv))
+            perm = [next(us) if p in pos else next(vs)
+                    for p in range(ku + kv)]
+            sign = parity_sign([i + 1 for i in perm],
+                               [par[x] for x in letters])
+            want.append((sign, tuple(letters[i] for i in perm)))
+        got = list(signed_shuffles(letters[:ku], letters[ku:],
+                                   par.__getitem__))
+        assert got == want, (letters, par)
 
 
 def test_shift_degree_examples():
