@@ -22,6 +22,7 @@ CASES = {
                                   "seed": 0}),
     "obstruction_w4.json": ("obstruction", {"weight_cap": 4}),
     "associahedra_a6.json": ("associahedra", {"max_arity": 6}),
+    "coalgebra_a6.json": ("coalgebra", {"max_arity": 6}),
 }
 
 
