@@ -15,7 +15,15 @@ by grafting trees, so a cell shared by two faces is literally the same
 tree and gluing consistency is automatic.
 
 Degrees are cohomological: a cell of dimension k sits in degree -k, and
-the boundary operator has degree +1.
+the boundary operator has degree +1.  It is the free derivation extending
+the generator differentials, which the cone rule fixes from the generator
+alone:
+
+    d(apex) = 0,    d(T b) = b - T(db) - aug(b) * apex,
+
+with T applied termwise to the boundary cells of db and aug(b) the
+coefficient sum of the dimension-0 cells of b.  The boundary of any cell
+is therefore defined whether or not `decompose` has enumerated its K(n).
 """
 
 from __future__ import annotations
@@ -109,19 +117,22 @@ def cone_chain_or_collapse(e: OperadElement) -> OperadElement:
 # ---------------------------------------------------------------------------
 # decomposition
 
-_cells: dict = {}            # n -> tuple of cell trees
-_assignments: dict = {}      # cone generator -> boundary OperadElement
 _complexes: dict = {}        # n -> CellComplex
 
 
-class _LiveDifferential(FreeDifferential):
-    """Differential reading the shared assignment table without copying."""
+def _cell_differential(sym: GeneratorSymbol) -> Optional[OperadElement]:
+    """d(T b) = b - T(db) - aug(b) * apex; apexes are cycles."""
+    if not is_cone(sym):
+        return None
+    b = _el(sym.payload)
+    val = b.sub(cone_chain(boundary(b)))
+    eps = augmentation(b)
+    if eps:
+        val = val.sub(_el(corolla(apex_symbol(sym.arity)), eps))
+    return val
 
-    def __init__(self, table):
-        self.assignments = table
 
-
-_diff = _LiveDifferential(_assignments)
+_diff = FreeDifferential(_cell_differential)
 
 
 def boundary(cell_or_chain) -> OperadElement:
@@ -172,68 +183,37 @@ class CellComplex:
         return max((dimension(t) for t in self.cells), default=0)
 
 
-def _boundary_cells(n: int):
-    found = set()
-    for q in range(2, n - 1 + 1):
-        p = n + 1 - q
-        if p < 2:
-            continue
-        for l in range(1, p + 1):
-            for a in _cells[p]:
-                for b in _cells[q]:
-                    g = graft(_el(a), _el(b), l)
-                    (t, _), = g.terms.items()
-                    found.add(t)
-    return sorted(found, key=lambda t: t.sort_key())
-
-
-def decompose(n: int) -> CellComplex:
-    if n < 0:
-        raise CellError("arity must be >= 0")
-    if n in _complexes:
-        return _complexes[n]
-    if n <= 2:
-        _cells[n] = (point_cell(n),)
-        cx = CellComplex(n, _cells[n])
-        _complexes[n] = cx
-        return cx
-    for k in range(2, n):
-        decompose(k)
-    border = _boundary_cells(n)
-    cells = list(border)
-    # register cone differentials: d(T b) = b - T(db) - aug(b) * apex
-    apex = corolla(apex_symbol(n))
-    for b in border:
-        db = boundary(b)
-        val = _el(b).sub(cone_chain(db))
-        eps = augmentation(_el(b))
-        if eps:
-            val = val.sub(_el(apex, eps))
-        _assignments[cone_symbol(b)] = val
-    cells.append(apex)
-    cells.extend(corolla(cone_symbol(b)) for b in border)
-    _cells[n] = tuple(cells)
-    cx = CellComplex(n, cells)
-    _complexes[n] = cx
-    return cx
-
-
 def facets(n: int) -> dict:
     """Coarse facets of K(n): (p, q, l) -> frozenset of decomposed cells."""
-    decompose(n)
     out = {}
-    for q in range(2, n - 1 + 1):
+    for q in range(2, n):
         p = n + 1 - q
-        if p < 2:
-            continue
+        cells_p, cells_q = decompose(p).cells, decompose(q).cells
         for l in range(1, p + 1):
             cells = set()
-            for a in _cells[p]:
-                for b in _cells[q]:
+            for a in cells_p:
+                for b in cells_q:
                     (t, _), = graft(_el(a), _el(b), l).terms.items()
                     cells.add(t)
             out[(p, q, l)] = frozenset(cells)
     return out
+
+
+def decompose(n: int) -> CellComplex:
+    """K(n) as its boundary cells, the apex, and the cone over each
+    boundary cell."""
+    if n < 0:
+        raise CellError("arity must be >= 0")
+    if n not in _complexes:
+        if n <= 2:
+            cells = [point_cell(n)]
+        else:
+            border = sorted(frozenset().union(*facets(n).values()),
+                            key=lambda t: t.sort_key())
+            cells = border + [corolla(apex_symbol(n))]
+            cells.extend(corolla(cone_symbol(b)) for b in border)
+        _complexes[n] = CellComplex(n, cells)
+    return _complexes[n]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +314,6 @@ def fundamental_class(k: int) -> OperadElement:
         raise CellError("fundamental classes start at arity 2")
     if k in _mu:
         return _mu[k]
-    decompose(k)
     if k == 2:
         mu = _el(point_cell(2))
     else:
@@ -368,21 +347,3 @@ def boundary_fundamental_cycle(k: int) -> OperadElement:
         for l in range(1, i + 1):
             vec_axpy(terms, insertion_sign(i, j, l), graft(mi, mj, l).terms)
     return OperadElement(k, terms)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def export_complex(n: int) -> dict:
-    """Deterministic JSON-ready description of the decomposed complex."""
-    cx = decompose(n)
-    cells = []
-    for t in cx.space.labels:
-        col = boundary(t)
-        cells.append({
-            "id": format_tree(t),
-            "dimension": dimension(t),
-            "interior": vertex_count(t) == 1,
-            "boundary": {format_tree(s): str(c) for s, c in col.sorted_terms()},
-        })
-    return {"arity": n, "cells": cells}

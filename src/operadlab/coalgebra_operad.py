@@ -148,10 +148,10 @@ def check_morphism(f: Mapping, source: DgCoalgebra, target: DgCoalgebra):
             raise CoalgebraError(f"counit not respected at {x!r}")
 
 
-def ground_coalgebra(label="1", width: int = 1) -> DgCoalgebra:
+def ground_coalgebra(label="1") -> DgCoalgebra:
     """The ground field as a coalgebra on one grouplike generator."""
-    sp = GradedSpace((label,), {label: (0,) * width})
-    d = GradedMap.zero(sp, sp, (1,) + (0,) * (width - 1))
+    sp = GradedSpace((label,), {label: (0,)})
+    d = GradedMap.zero(sp, sp, (1,))
     return DgCoalgebra(sp, d, {label: {(label, label): Fraction(1)}},
                        {label: Fraction(1)})
 
@@ -173,8 +173,6 @@ def cone(a: DgCoalgebra) -> DgCoalgebra:
     d(Tu) = u - T(du) - eps(u) apex;  Delta(Tu) = (T ox id)Delta(u)
     + apex ox Tu;  the apex is grouplike.
     """
-    width = len(next(iter(a.space.degrees.values()), (0,)))
-    shift = (-1,) + (0,) * (width - 1)
     labels = list(a.space.labels)
     for l in a.space.labels:
         if _t(l) in a.space.index or l == APEX:
@@ -183,8 +181,8 @@ def cone(a: DgCoalgebra) -> DgCoalgebra:
     labels.append(APEX)
     degrees = dict(a.space.degrees)
     for l in a.space.labels:
-        degrees[_t(l)] = degree_add(a.space.degree(l), shift)
-    degrees[APEX] = (0,) * width
+        degrees[_t(l)] = degree_add(a.space.degree(l), (-1,))
+    degrees[APEX] = (0,)
     sp = GradedSpace(labels, degrees)
 
     entries = {l: a.d.column(l) for l in a.space.labels}
@@ -386,25 +384,3 @@ def coalgebra_of_boundary(n: int) -> DgCoalgebra:
     delta = {t: delta_cell(t) for t in labels}
     counit = {t: Fraction(1) for t in labels if tree_degree(t) == 0}
     return DgCoalgebra(sp, d, delta, counit, check=False)
-
-
-def export_arity(n: int) -> dict:
-    """Deterministic JSON-ready dump of d, Delta and the counit of A(n)."""
-    cx = ah.decompose(n)
-    from .operad_core import format_tree
-    cells = []
-    for t in cx.space.labels:
-        cells.append({
-            "id": format_tree(t),
-            "degree": tree_degree(t),
-            "d": {format_tree(s): str(c)
-                  for s, c in sorted(ah.boundary(t).terms.items(),
-                                     key=lambda kv: kv[0].sort_key())},
-            "delta": {f"{format_tree(a)} | {format_tree(b)}": str(c)
-                      for (a, b), c in sorted(
-                          delta_cell(t).items(),
-                          key=lambda kv: (kv[0][0].sort_key(),
-                                          kv[0][1].sort_key()))},
-            "counit": str(Fraction(1) if tree_degree(t) == 0 else Fraction(0)),
-        })
-    return {"arity": n, "cells": cells}

@@ -101,12 +101,6 @@ class GradedSpace:
     def labels_of_degree1(self, n: int) -> list:
         return [l for l in self.labels if self.degrees[l][0] == n]
 
-    def with_order(self, labels) -> "GradedSpace":
-        labels = tuple(labels)
-        if set(labels) != set(self.labels):
-            raise ValueError("reordering must preserve the basis")
-        return GradedSpace(labels, self.degrees)
-
     def __contains__(self, label):
         return label in self.index
 
@@ -206,34 +200,6 @@ class GradedMap:
 
     def __repr__(self):
         return f"GradedMap(shift={self.shift}, nnz_cols={len(self.entries)})"
-
-
-def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
-    labels = [(x, y) for x in a.labels for y in b.labels]
-    degrees = {(x, y): degree_add(a.degree(x), b.degree(y)) for x, y in labels}
-    return GradedSpace(labels, degrees)
-
-
-def tensor_map(f: GradedMap, g: GradedMap, source=None, target=None) -> GradedMap:
-    """(f tensor g) with the Koszul sign (-1)^{|g| |a|} on each column a."""
-    source = source or tensor_space(f.source, g.source)
-    target = target or tensor_space(f.target, g.target)
-    gpar = g.shift[0] & 1
-    entries = {}
-    for x in f.source.labels:
-        fx = f.entries.get(x, {})
-        sign = -1 if (gpar and f.source.degree(x)[0] & 1) else 1
-        for y in g.source.labels:
-            gy = g.entries.get(y, {})
-            if not fx or not gy:
-                continue
-            col = {}
-            for tx, cx in fx.items():
-                for ty, cy in gy.items():
-                    col[(tx, ty)] = sign * cx * cy
-            entries[(x, y)] = col
-    return GradedMap(source, target, degree_add(f.shift, g.shift), entries,
-                     check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +303,7 @@ class Complex:
             raise ValueError("differential must have degree 1")
         self.space = space
         self.d = d
-        if check and not d.compose(d).is_zero():
+        if check and any(map(d.apply, d.entries.values())):
             raise StructuralFailure("d*d != 0")
 
     def homology(self, degree: int):

@@ -35,7 +35,6 @@ All linear algebra is exact over the rationals.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from math import factorial as _factorial
 
@@ -78,34 +77,6 @@ class Algebra:
                 self.mult[(i, j)] = vec_clean(dict(mult.get((i, j), {})))
         self.unit = vec_clean(dict(unit))
         self._validate()
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def from_json(cls, doc):
-        """Build from a JSON document (or an already-parsed dict).
-
-        Schema: ``{"basis": [...], "degrees": [...], "structure":
-        [[i, j, k, "num/den"], ...], "unit": {"k": "num/den", ...}}``.
-        """
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        labels = doc["basis"]
-        degrees = doc.get("degrees", [0] * len(labels))
-        mult = {}
-        for i, j, k, c in doc["structure"]:
-            mult.setdefault((i, j), {})[k] = F(c)
-        unit = {int(k): F(c) for k, c in doc["unit"].items()}
-        return cls(labels, degrees, mult, unit)
-
-    def to_json(self) -> str:
-        triples = sorted(
-            (i, j, k, str(c))
-            for (i, j), col in self.mult.items() for k, c in col.items())
-        doc = {"basis": list(self.labels),
-               "degrees": list(self.degrees),
-               "structure": [list(t) for t in triples],
-               "unit": {str(k): str(c) for k, c in sorted(self.unit.items())}}
-        return json.dumps(doc, sort_keys=True)
 
     # -- structure ---------------------------------------------------------
     def product(self, u: dict, v: dict) -> dict:
@@ -710,6 +681,12 @@ def _harrison_word_block(k, s):
     return shuffle_quotient(sorted(_compositions(s, k)), _odd)
 
 
+def _harrison_blocks(weight):
+    """(k, s) -> _harrison_word_block(k, s) for 1 <= k <= s <= weight."""
+    return {(k, s): _harrison_word_block(k, s)
+            for k in range(1, weight + 1) for s in range(k, weight + 1)}
+
+
 def _harrison_boundary_raw(word, c):
     """Boundary of (word | c) as a dict (raw word, c') -> coefficient."""
     k = len(word)
@@ -734,16 +711,12 @@ def harrison_weight_complex(weight):
         raise HochschildError("weight must be >= 1")
     labels = []
     degrees = {}
-    blocks = {}
-    for k in range(1, weight + 1):
-        for s in range(k, weight + 1):
-            basis, ech = _harrison_word_block(k, s)
-            blocks[(k, s)] = (basis, ech)
-            c = weight - s
-            for w in basis:
-                lab = (w, c)
-                labels.append(lab)
-                degrees[lab] = (-k,)  # cohomological convention: b has degree +1
+    blocks = _harrison_blocks(weight)
+    for (k, s), (basis, _) in blocks.items():
+        for w in basis:
+            lab = (w, weight - s)
+            labels.append(lab)
+            degrees[lab] = (-k,)  # cohomological convention: b has degree +1
     space = GradedSpace(labels, degrees)
     entries = {}
     for (w, c) in labels:
@@ -752,7 +725,7 @@ def harrison_weight_complex(weight):
             kk = len(rw)
             if kk == 0:
                 continue  # the k=1 piece has no word left to carry
-            basis, ech = blocks[(kk, sum(rw))]
+            _, ech = blocks[(kk, sum(rw))]
             for bw, bc in ech.reduce({rw: Fraction(coeff)}).items():
                 vec_acc(col, (bw, rc), bc)
         if col:
@@ -814,10 +787,10 @@ def harrison_boundary_descends(weight):
     r must reduce to zero in the shuffle quotient; this is what makes the
     quotient boundary well-defined (not just square-zero on representatives).
     """
+    blocks = _harrison_blocks(weight)
     for k in range(2, weight + 1):
         for s in range(k, weight + 1):
             c = weight - s
-            _, ech = _harrison_word_block(k, s)
             for w in _compositions(s, k):
                 for cut in range(1, k):
                     # boundary of the relation, reduced in the quotient
@@ -827,7 +800,7 @@ def harrison_boundary_descends(weight):
                                 rw, c).items():
                             if not mw:
                                 continue
-                            _, mech = _harrison_word_block(len(mw), sum(mw))
+                            _, mech = blocks[(len(mw), sum(mw))]
                             for bw, bc in mech.reduce(
                                     {mw: Fraction(coeff) * mcoeff}).items():
                                 vec_acc(acc, (bw, mc), bc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .exact_chain import vec_acc, vec_axpy
 
@@ -363,22 +363,29 @@ def replace_vertex(tree: Tree, path: tuple, value: OperadElement) -> OperadEleme
 
 
 class FreeDifferential:
-    """The derivation extending assigned generator differentials."""
+    """The derivation extending a rule for the generator differentials.
 
-    def __init__(self, assignments: Mapping):
-        """assignments: GeneratorSymbol -> OperadElement (degree +1) or None."""
-        self.assignments = dict(assignments)
-        for g, val in self.assignments.items():
-            if val is None or val.is_zero():
-                continue
-            if val.degree() != g.degree + 1:
-                raise ValueError(f"differential of {g.name} must raise degree by 1")
-            if val.arity != g.arity:
-                raise ValueError(f"differential of {g.name} must preserve arity")
+    rule(g) returns the differential of the generator g, an element of
+    degree |g| + 1 and the arity of g, or None when g is a cycle.  The rule
+    is called once per generator; its value is checked then and kept.
+    """
+
+    def __init__(self, rule: Callable):
+        self.rule = rule
+        self._values: dict = {}
 
     def value(self, g: GeneratorSymbol) -> OperadElement:
-        v = self.assignments.get(g)
-        return v if v is not None else OperadElement.zero(g.arity)
+        v = self._values.get(g)
+        if v is None:
+            v = self.rule(g)
+            if v is None:
+                v = OperadElement.zero(g.arity)
+            if v.arity != g.arity:
+                raise ValueError(f"differential of {g.name} must preserve arity")
+            if not v.is_zero() and v.degree() != g.degree + 1:
+                raise ValueError(f"differential of {g.name} must raise degree by 1")
+            self._values[g] = v
+        return v
 
     def __call__(self, e: OperadElement) -> OperadElement:
         terms = {}

@@ -133,21 +133,16 @@ class _AContext:
     name = "A"
 
     def boundary(self, t) -> dict:
-        ah.decompose(tree_arity(t))
         return dict(ah.boundary(t).terms)
 
     def delta(self, t) -> dict:
-        ah.decompose(tree_arity(t))
         return delta_cell(t)
 
     def eps(self, t) -> Fraction:
-        ah.decompose(tree_arity(t))
         return counit_morphism(t)
 
     def insert0(self, t, i: int) -> dict:
-        n = tree_arity(t)
-        ah.decompose(n)
-        return dict(ah.insert_chain(n, 0, i, _el(t)).terms)
+        return dict(ah.insert_chain(tree_arity(t), 0, i, _el(t)).terms)
 
 
 AS_CONTEXT = _AsContext()
@@ -597,23 +592,15 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
     return lift(total, n)
 
 
-class _OXDifferential(FreeDifferential):
-    """Lazy derivation: generator differentials are computed on demand."""
-
-    def __init__(self):
-        self.assignments = {}
-
-    def value(self, g):
-        if g not in self.assignments:
-            p = g.payload
-            if isinstance(p, tuple) and p and p[0] in (_PHI, _D):
-                self.assignments[g] = ox_differential(g)
-            else:
-                self.assignments[g] = None
-        return super().value(g)
+def _ox_rule(sym: GeneratorSymbol):
+    """The differential of an O(X) generator; other symbols are cycles."""
+    p = sym.payload
+    if isinstance(p, tuple) and p and p[0] in (_PHI, _D):
+        return ox_differential(sym)
+    return None
 
 
-diff = _OXDifferential()
+diff = FreeDifferential(_ox_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +712,6 @@ def _arity2_complex(operad: str):
     if operad == "B":
         g0 = mm_symbol(1, 1)
     elif operad == "G":
-        ah.decompose(2)
         g0 = phi_symbol("A", ah.point_cell(2), (1, 1))
     else:
         raise OXError(f"unknown operad {operad!r}")
@@ -948,7 +934,6 @@ def check_Gg_and_tri(k: int) -> dict:
     parity assignment of the inputs; returns a report dict."""
     if not 2 <= k <= 4:
         raise OXError("checked for 2 <= k <= 4")
-    ah.decompose(k)
     coproduct_ok = True
     for cell in ah.decompose(k).cells:
         for parities in itertools.product((0, 1), repeat=k):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from operadlab.associahedra import (
-    CellError, boundary, boundary_fundamental_cycle, cone_symbol, decompose,
-    dimension, export_complex, facets, fundamental_class, insert,
+    CellError, apex_symbol, boundary, boundary_fundamental_cycle,
+    cone_symbol, decompose, dimension, facets, fundamental_class, insert,
     insert_chain, point_cell, vertex_count,
 )
-from operadlab.operad_core import OperadElement, corolla
+from operadlab.operad_core import Leaf, Node, OperadElement, corolla
 
 
 def test_points():
@@ -209,10 +209,13 @@ def test_insert_errors():
         insert_chain(2, -1, 1, OperadElement.from_tree(pt))
 
 
-def test_export_deterministic():
-    a = export_complex(4)
-    b = export_complex(4)
-    assert a == b
-    assert len(a["cells"]) == 41
-    ids = [c["id"] for c in a["cells"]]
-    assert len(set(ids)) == len(ids)
+def test_cone_boundary_needs_no_decomposition():
+    # b = O7(O2(1,2),3,...,8) is a boundary vertex of K(8), which no other
+    # test decomposes; d(T b) = b - O8 follows from b alone
+    b = Node(apex_symbol(7), (corolla(apex_symbol(2)),)
+             + tuple(Leaf(i) for i in range(3, 9)))
+    tb = OperadElement.from_tree(corolla(cone_symbol(b)))
+    db = boundary(tb)
+    assert db == OperadElement.from_tree(b).sub(
+        OperadElement.from_tree(corolla(apex_symbol(8))))
+    assert boundary(db).is_zero()

@@ -6,7 +6,7 @@ from operadlab import associahedra as ah
 from operadlab.coalgebra_operad import (
     APEX, CoalgebraError, DgCoalgebra, as_operad, build_A, check_morphism,
     coalgebra_of_boundary, cone, cone_map, counit_morphism, delta_cell,
-    delta_chain, export_arity, ground_coalgebra, _t,
+    delta_chain, ground_coalgebra, _t,
 )
 from operadlab.exact_chain import GradedMap, GradedSpace
 from operadlab.operad_core import Leaf, OperadElement, corolla, tree_degree
@@ -255,8 +255,3 @@ def test_counit_quasi_isomorphism():
         rep = OperadElement(n, reps[0])
         assert counit_morphism(rep) != 0
 
-
-def test_export_arity_deterministic():
-    assert export_arity(3) == export_arity(3)
-    doc = export_arity(3)
-    assert len(doc["cells"]) == 5

@@ -1,6 +1,5 @@
 """Tests for the Hochschild/Harrison/obstruction workbench."""
 import itertools
-import json
 import random
 from fractions import Fraction as F
 
@@ -20,6 +19,7 @@ from operadlab.hochschild_lab import (
     obstruction_E1, obstruction_bracket_action, obstruction_vanishing,
     schouten_comparison, hh_gerstenhaber_report,
 )
+from operadlab import hochschild_lab as hl
 from operadlab import ox_construction as ox
 
 
@@ -39,13 +39,6 @@ def random_cochain(alg, arity, rng):
         if col:
             vals[args] = col
     return Cochain(alg, arity, vals)
-
-
-def test_algebra_json_round_trip():
-    alg = truncated_polynomial_algebra(3)
-    doc = alg.to_json()
-    again = Algebra.from_json(json.loads(doc))
-    assert again.to_json() == doc
 
 
 def test_algebra_validation_errors():
@@ -246,6 +239,20 @@ def test_harrison_boundary_squares_to_zero():
 
 def test_harrison_boundary_descends():
     assert harrison_boundary_descends(4)
+
+
+def test_harrison_boundary_descends_builds_each_block_once(monkeypatch):
+    built = []
+    build = hl._harrison_word_block
+
+    def counted(k, s):
+        built.append((k, s))
+        return build(k, s)
+
+    monkeypatch.setattr(hl, "_harrison_word_block", counted)
+    assert harrison_boundary_descends(6)
+    assert sorted(built) == [(k, s) for k in range(1, 7)
+                             for s in range(k, 7)]
 
 
 def test_harrison_homology_matches_model():

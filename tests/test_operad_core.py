@@ -78,7 +78,7 @@ M3 = GeneratorSymbol("m3", 3, -1)
 def _assoc_differential():
     dm3 = graft(el(corolla(M2)), el(corolla(M2)), 1).sub(
         graft(el(corolla(M2)), el(corolla(M2)), 2))
-    return FreeDifferential({M2: None, M3: dm3})
+    return FreeDifferential({M2: None, M3: dm3}.get)
 
 
 def test_free_differential_squares_to_zero():
@@ -87,6 +87,31 @@ def test_free_differential_squares_to_zero():
     assert d(d(x)).is_zero()
     y = graft(graft(el(corolla(M3)), el(corolla(M2)), 1), el(corolla(M3)), 4)
     assert d(d(y)).is_zero()
+
+
+def test_free_differential_calls_its_rule_once_per_generator():
+    calls = []
+    values = {M3: _assoc_differential().value(M3)}
+
+    def rule(g):
+        calls.append(g)
+        return values.get(g)
+
+    d = FreeDifferential(rule)
+    x = graft(graft(el(corolla(M3)), el(corolla(M3)), 2), el(corolla(M2)), 1)
+    assert d(x) == _assoc_differential()(x)
+    assert d(x) == _assoc_differential()(x)
+    assert calls == [M3, M2]
+
+
+def test_free_differential_rejects_a_wrong_rule_value_on_first_use():
+    n3 = GeneratorSymbol("n3", 3, 1)
+    bad_degree = FreeDifferential({M3: el(corolla(M3))}.get)
+    with pytest.raises(ValueError, match="degree"):
+        bad_degree(el(corolla(M3)))
+    bad_arity = FreeDifferential({M2: el(corolla(n3))}.get)
+    with pytest.raises(ValueError, match="arity"):
+        bad_arity(el(corolla(M2)))
 
 
 def test_free_differential_is_derivation():
