@@ -210,8 +210,8 @@ def test_insert_errors():
 
 
 def test_cone_boundary_needs_no_decomposition():
-    # b = O7(O2(1,2),3,...,8) is a boundary vertex of K(8), which no other
-    # test decomposes; d(T b) = b - O8 follows from b alone
+    # b = O7(O2(1,2),3,...,8) is a boundary vertex of K(8); d(T b) = b - O8
+    # follows from b alone, whether or not decompose(8) has run
     b = Node(apex_symbol(7), (corolla(apex_symbol(2)),)
              + tuple(Leaf(i) for i in range(3, 9)))
     tb = OperadElement.from_tree(corolla(cone_symbol(b)))
