@@ -16,12 +16,13 @@ regrouping the per-vertex pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .exact_chain import (GradedMap, GradedSpace, degree_add, vec_acc,
                           vec_axpy, vec_clean)
+# graft is kept for perfbench's test_alias_bindings_are_wrapped_and_counted
 from .operad_core import (Leaf, Node, OperadElement, corolla, graft,
-                          replace_vertex, tree_arity, tree_degree,
+                          replace_vertex, transpose_sign, tree_degree,
                           tree_vertices)
 from . import associahedra as ah
 
@@ -268,15 +269,9 @@ def delta_cell(t) -> dict:
 
     def emit(coeff, firsts, seconds):
         # Koszul sign of regrouping ox_i (g'_i ox e''_i) into
-        # (ox_i g'_i) ox (ox_i e''_i): each odd e''_i passes every later
-        # odd g'_j
-        sign = 1
-        for a in range(len(verts)):
-            if seconds[a].degree() % 2:
-                later_odd = sum(1 for b in range(a + 1, len(verts))
-                                if firsts[b].degree % 2)
-                if later_odd % 2:
-                    sign = -sign
+        # (ox_i g'_i) ox (ox_i e''_i)
+        sign = transpose_sign([(g.degree, e.degree())
+                               for g, e in zip(firsts, seconds)])
 
         def rebuild(u, path):
             if isinstance(u, Leaf):

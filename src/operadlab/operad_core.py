@@ -155,6 +155,22 @@ def _check_labels(t: Tree):
         raise CompositionError(f"leaf labels {labels} are not a permutation of 1..n")
 
 
+def _degree_after_leaves(t: Tree) -> dict:
+    """Leaf label -> total degree of the vertices after that leaf in preorder."""
+    total = tree_degree(t)
+    after = {}
+    before = 0
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Leaf):
+            after[u.label] = total - before
+        else:
+            before += u.symbol.degree
+            stack.extend(reversed(u.children))
+    return after
+
+
 def _graft_tree(outer: Tree, inner: Tree, i: int):
     """Plug inner into the leaf of outer labeled i.
 
@@ -166,23 +182,7 @@ def _graft_tree(outer: Tree, inner: Tree, i: int):
     if not 1 <= i <= m:
         raise CompositionError(f"position {i} out of range for arity {m}")
     d_inner = tree_degree(inner)
-
-    # degree of outer vertices strictly after leaf i in preorder
-    after = 0
-    seen = [False]
-
-    def deg_after(u):
-        nonlocal after
-        if isinstance(u, Leaf):
-            if u.label == i:
-                seen[0] = True
-            return
-        if seen[0]:
-            after += u.symbol.degree
-        for c in u.children:
-            deg_after(c)
-
-    deg_after(outer)
+    after = _degree_after_leaves(outer)[i]
     sign = -1 if (d_inner % 2) and (after % 2) else 1
 
     inner_rel = relabel(inner, {l: i + l - 1 for l in leaf_labels(inner)})
@@ -323,25 +323,9 @@ def replace_vertex(tree: Tree, path: tuple, value: OperadElement) -> OperadEleme
             raise CompositionError("replacement arity mismatch")
         # interleaving sign: child block j moves past replacement vertices
         # occurring after leaf j in s's preorder
-        sign = 1
-        for j in range(1, r + 1):
-            after = 0
-            seen = [False]
-
-            def walk(u):
-                nonlocal after
-                if isinstance(u, Leaf):
-                    if u.label == j:
-                        seen[0] = True
-                    return
-                if seen[0]:
-                    after += u.symbol.degree
-                for ch in u.children:
-                    walk(ch)
-
-            walk(s)
-            if (child_degs[j - 1] % 2) and (after % 2):
-                sign = -sign
+        after = _degree_after_leaves(s)
+        odd = sum(d * after[j] for j, d in enumerate(child_degs, 1)) % 2
+        sign = -1 if odd else 1
 
         def build_repl(u):
             if isinstance(u, Leaf):
@@ -402,7 +386,8 @@ class FreeDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Koszul signs: of a permutation, and of the shuffles of two words
+# Koszul signs: of a permutation, of regrouping a tensor of tensors, and of
+# the shuffles of two words
 
 def parity_sign(perm, degrees) -> int:
     """Sign of rearranging (x_1..x_n) into (x_{perm[0]}, x_{perm[1]}, ...).
@@ -419,6 +404,30 @@ def parity_sign(perm, degrees) -> int:
                 if (degrees[perm[a] - 1] % 2) and (degrees[perm[b] - 1] % 2):
                     sign = -sign
     return sign
+
+
+def transpose_sign(grid) -> int:
+    """Koszul sign of regrouping a tensor of tensors.
+
+    grid[b][i] is the parity of the piece of block b that goes to row i;
+    every block has the same number of rows.  Returns the sign of reordering
+    the pieces from block-major order (block 0's rows, then block 1's, ...)
+    to row-major order (row 0's blocks, then row 1's, ...): each piece (b, i)
+    moves past the pieces (b2, i2) with b < b2 and i2 < i.
+    """
+    rows = None  # rows[i]: parity of the pieces of row i in earlier blocks
+    odd = 0
+    for block in grid:
+        if rows is None:
+            rows = [0] * len(block)
+        later = 0  # parity of the earlier blocks' pieces in rows after i
+        for i in range(len(block) - 1, -1, -1):
+            p = block[i] & 1
+            if p and later:
+                odd ^= 1
+            later ^= rows[i]
+            rows[i] ^= p
+    return -1 if odd else 1
 
 
 def signed_shuffles(u, v, parity):
@@ -453,13 +462,7 @@ def signed_shuffles(u, v, parity):
 
 def perm_sgn(perm) -> int:
     """Ordinary sign of a permutation given as a tuple of 1-based images."""
-    n = len(perm)
-    sign = 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
+    return parity_sign(perm, (1,) * len(perm))
 
 
 # ---------------------------------------------------------------------------

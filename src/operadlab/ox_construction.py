@@ -42,7 +42,8 @@ from .exact_chain import (Complex, GradedMap, GradedSpace, span, vec_acc,
 from .operad_core import (
     GeneratorSymbol, Leaf, Node, OperadElement, ShiftedElement, corolla,
     format_tree, graft, leaf_labels, parity_sign, perm_sgn, relabel,
-    signed_shuffles, tree_arity, tree_degree, tree_vertices, FreeDifferential,
+    signed_shuffles, transpose_sign, tree_arity, tree_degree, tree_vertices,
+    FreeDifferential,
 )
 
 F = Fraction
@@ -301,7 +302,6 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
     the children before it.  Empty blocks are resolved by deleting the
     corresponding input slot of the cell.
     """
-    blocks = tuple(tuple(b) for b in blocks)
     if isinstance(t, Leaf):
         if len(blocks) != 1:
             raise OXError("identity cell takes one block")
@@ -329,30 +329,25 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
     # composite cell: recurse into the children
     children = t.children
     infos = []
-    prefs = []
+    letter_pars = []
     pos = 0
-    acc = 0
     for ch in children:
         a = tree_arity(ch)
         chblocks = blocks[pos:pos + a]
-        prefs.append(acc)
-        acc += sum(word_parity(b, par) for b in chblocks) % 2
-        acc %= 2
+        letter_pars.append(sum(word_parity(b, par) for b in chblocks))
         if isinstance(ch, Leaf):
             infos.append([(tuple(chblocks[0]), F1)])
         else:
             local = relabel(ch, {l: l - pos for l in leaf_labels(ch)})
             infos.append(list(phi_full(ctx, local, chblocks, par).items()))
         pos += a
+    sign = transpose_sign([[tree_degree(ch) for ch in children], letter_pars])
 
     out = {}
     for combo in itertools.product(*infos):
-        sign = 1
         coeff = F1
-        for j, ch in enumerate(children):
-            if isinstance(ch, Node) and (tree_degree(ch) % 2) and prefs[j]:
-                sign = -sign
-            coeff *= combo[j][1]
+        for _, c in combo:
+            coeff *= c
         words = tuple(w for (w, _) in combo)
         sub = phi1_tree(ctx, corolla(t.symbol), words, par)
         vec_axpy(out, sign * coeff, sub)
@@ -376,9 +371,8 @@ def _phi_rank(ctx, t, blocks, r: int, par) -> dict:
     Rank r factors as r rank-1 pieces against the iterated coproduct of the
     cell and ordered deconcatenations of every block; the Koszul sign of
     regrouping (cell components to their rows, pieces from block-major to
-    row-major order) is explicit.
+    row-major order) is one `transpose_sign`.
     """
-    blocks = tuple(tuple(b) for b in blocks)
     n = len(blocks)
     if r == 0:
         if any(blocks):
@@ -392,28 +386,13 @@ def _phi_rank(ctx, t, blocks, r: int, par) -> dict:
 
     out = {}
     for comps, c0 in _delta_iter(ctx, t, r).items():
-        comp_degs = [tree_degree(c) % 2 for c in comps]
+        comp_degs = [tree_degree(c) for c in comps]
         for choice in itertools.product(*[_splits(b, r) for b in blocks]):
-            # choice[b][i] = the piece of block b handed to row i
-            piece_par = [[word_parity(choice[b][i], par) for i in range(r)]
-                         for b in range(n)]
-            sign = 1
-            # cell component i moves right past the pieces of rows < i
-            for i in range(1, r):
-                if comp_degs[i]:
-                    p = sum(piece_par[b][i2]
-                            for i2 in range(i) for b in range(n))
-                    if p % 2:
-                        sign = -sign
-            # pieces reorder from block-major to row-major
-            for b in range(n):
-                for b2 in range(b + 1, n):
-                    for i in range(1, r):
-                        if not piece_par[b][i]:
-                            continue
-                        p = sum(piece_par[b2][i2] for i2 in range(i))
-                        if p % 2:
-                            sign = -sign
+            # choice[b][i] = the piece of block b handed to row i; the cell
+            # components are block 0 of the regrouping
+            sign = transpose_sign(
+                [comp_degs] + [[word_parity(p, par) for p in pieces]
+                               for pieces in choice])
             rows = []
             dead = False
             for i in range(r):
@@ -498,16 +477,15 @@ def lift(exprs: dict, arity: int) -> OperadElement:
 def _eval_tree(t, par):
     if isinstance(t, Leaf):
         return 1, t.label
-    sign = 1
-    before = 0
+    # each child's operators move past the letters of its left siblings
+    sign = transpose_sign([
+        [tree_degree(ch) for ch in t.children],
+        [sum(par[l] for l in leaf_labels(ch)) for ch in t.children]])
     parts = []
     for ch in t.children:
         s2, ex = _eval_tree(ch, par)
-        if (tree_degree(ch) % 2) and (before % 2):
-            sign = -sign
         sign *= s2
         parts.append(ex)
-        before += sum(par[l] for l in leaf_labels(ch))
     return sign, App(t.symbol, tuple(parts))
 
 
@@ -796,27 +774,18 @@ def t_chi(chi, chi_opdeg: int, words, par) -> dict:
     past the firsts.  chi maps a tuple of words to expression -> coeff.
     """
     words = tuple(tuple(w) for w in words)
-    n = len(words)
     out = {}
     for splits in itertools.product(*[list(_splits(w, 3)) for w in words]):
         firsts = [s[0] for s in splits]
         mids = tuple(s[1] for s in splits)
         lasts = [s[2] for s in splits]
-        fpar = [word_parity(f, par) for f in firsts]
-        mpar = [word_parity(m, par) for m in mids]
-        lpar = [word_parity(l, par) for l in lasts]
-        sign = 1
-        # regroup (f1 m1 l1 f2 m2 l2 ...) -> (f1..fn m1..mn l1..ln)
-        for b in range(n):
-            for b2 in range(b + 1, n):
-                if mpar[b] and fpar[b2]:
-                    sign = -sign
-                if lpar[b] and (fpar[b2] ^ mpar[b2]):
-                    sign = -sign
         midval = chi(mids)
         if not midval:
             continue
-        if (chi_opdeg % 2) and (sum(fpar) % 2):
+        # regroup (f1 m1 l1 f2 m2 l2 ...) -> (f1..fn m1..mn l1..ln)
+        grid = [[word_parity(x, par) for x in s] for s in splits]
+        sign = transpose_sign(grid)
+        if (chi_opdeg % 2) and (sum(g[0] for g in grid) % 2):
             sign = -sign
         fsh = shuffle_many(firsts, par)
         lsh = shuffle_many(lasts, par)

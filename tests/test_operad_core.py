@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from operadlab.operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
-    graft, leaf_labels, parity_sign, perm_sgn, replace_vertex, shift_degree,
-    shift_operad, signed_shuffles, suspension_sign, tree_degree,
-    ShiftedElement,
+    graft, leaf_labels, parity_sign, perm_sgn, replace_vertex,
+    shift_degree, shift_operad, signed_shuffles, suspension_sign,
+    transpose_sign, tree_degree, ShiftedElement,
 )
 
 C2 = GeneratorSymbol("c", 2, 0)
@@ -124,10 +125,26 @@ def test_free_differential_is_derivation():
         assert lhs == rhs
 
 
+def _cycle_count(perm):
+    seen, cycles = set(), 0
+    for start in range(1, len(perm) + 1):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k - 1]
+    return cycles
+
+
 def test_parity_sign_matches_sgn_on_odd_degrees():
-    for n in (2, 3, 4):
+    # reference: a permutation of n letters with c cycles has sign
+    # (-1)^(n - c)
+    for n in (0, 1, 2, 3, 4, 5):
         for p in itertools.permutations(range(1, n + 1)):
-            assert parity_sign(p, [1] * n) == perm_sgn(p)
+            want = (-1) ** ((n - _cycle_count(p)) % 2)
+            assert perm_sgn(p) == want
+            assert parity_sign(p, [1] * n) == want
             assert parity_sign(p, [0] * n) == 1
 
 
@@ -160,6 +177,107 @@ def test_signed_shuffles_are_koszul_signed_in_combinations_order():
         got = list(signed_shuffles(letters[:ku], letters[ku:],
                                    par.__getitem__))
         assert got == want, (letters, par)
+
+
+@given(st.data())
+def test_transpose_sign_is_the_koszul_sign_of_block_to_row_major(data):
+    nb = data.draw(st.integers(0, 5))
+    nr = data.draw(st.integers(0, 5))
+    grid = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=nr, max_size=nr),
+        min_size=nb, max_size=nb))
+    # make some whole blocks and whole rows even
+    even_blocks = data.draw(st.sets(st.integers(0, 4)))
+    even_rows = data.draw(st.sets(st.integers(0, 4)))
+    grid = [[2 * x if b in even_blocks or i in even_rows else x
+             for i, x in enumerate(block)] for b, block in enumerate(grid)]
+    # piece (b, i) is letter b * nr + i + 1 in block-major order
+    degrees = [x for block in grid for x in block]
+    row_major = [b * nr + i + 1 for i in range(nr) for b in range(nb)]
+    assert transpose_sign(grid) == parity_sign(row_major, degrees)
+
+
+# Reference signs for grafting and vertex replacement: one preorder walk per
+# leaf, summing the degrees of the vertices after that leaf.
+
+def _walk_degree_after(t, label):
+    after, seen = 0, False
+
+    def walk(u):
+        nonlocal after, seen
+        if isinstance(u, Leaf):
+            seen = seen or u.label == label
+            return
+        if seen:
+            after += u.symbol.degree
+        for c in u.children:
+            walk(c)
+
+    walk(t)
+    return after
+
+
+def _ref_graft_sign(outer, inner, i):
+    odd = tree_degree(inner) * _walk_degree_after(outer, i)
+    return -1 if odd % 2 else 1
+
+
+def _ref_replace_sign(s, child_degs):
+    odd = sum(d * _walk_degree_after(s, j)
+              for j, d in enumerate(child_degs, 1))
+    return -1 if odd % 2 else 1
+
+
+RANDOM_SYMBOLS = [GeneratorSymbol(f"r{a}_{d}", a, d)
+                  for a in (0, 1, 2, 3) for d in (-1, 0, 1, 2)]
+
+
+def _random_shape(rng, depth, branching=False):
+    """A random unlabeled tree; a branching one has a root of arity >= 2."""
+    if not branching and (depth == 0 or rng.random() < 0.25):
+        return Leaf(0)
+    sym = rng.choice([g for g in RANDOM_SYMBOLS
+                      if g.arity >= 2 or not branching])
+    return Node(sym, tuple(_random_shape(rng, depth - 1)
+                           for _ in range(sym.arity)))
+
+
+def _labeled(rng, t):
+    """t with its leaves labeled by a random permutation of 1..n."""
+    n = len(leaf_labels(t))
+    labels = iter(rng.sample(range(1, n + 1), n))
+
+    def label(u):
+        if isinstance(u, Leaf):
+            return Leaf(next(labels))
+        return Node(u.symbol, tuple(label(c) for c in u.children))
+
+    return label(t)
+
+
+def test_graft_and_replace_vertex_signs_on_random_trees():
+    rng = random.Random(7)
+    for _ in range(300):
+        outer = _labeled(rng, _random_shape(rng, 3))
+        inner = _labeled(rng, _random_shape(rng, 3))
+        for i in range(1, len(leaf_labels(outer)) + 1):
+            got = graft(el(outer), el(inner), i)
+            assert list(got.terms.values()) == \
+                [_ref_graft_sign(outer, inner, i)], (outer, inner, i)
+        # replace a vertex with odd or even random subtrees below it,
+        # sitting at the root or below an earlier sibling
+        s = _labeled(rng, _random_shape(rng, 3, branching=True))
+        r = len(leaf_labels(s))
+        v = Node(GeneratorSymbol("v", r, rng.randint(0, 1)),
+                 tuple(_random_shape(rng, 2) for _ in range(r)))
+        path = ()
+        if rng.random() < 0.5:
+            v, path = Node(C2, (_random_shape(rng, 2), v)), (1,)
+        tree = _labeled(rng, v)
+        target = tree.children[1] if path else tree
+        got = replace_vertex(tree, path, el(s))
+        want = _ref_replace_sign(s, [tree_degree(c) for c in target.children])
+        assert list(got.terms.values()) == [want], (tree, path, s)
 
 
 def test_shift_degree_examples():
