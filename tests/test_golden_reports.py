@@ -9,11 +9,15 @@ print(c.export(c.run('obstruction', weight_cap=4), 'json'), end='')" \
 
 (and likewise for the other configurations below).
 """
+import itertools
 from pathlib import Path
 
 import pytest
 
+from operadlab import associahedra as ah
 from operadlab import cli_report as cli
+from operadlab import ox_construction as ox
+from operadlab.operad_core import format_tree
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,3 +35,53 @@ def test_report_matches_golden(name):
     suite, config = CASES[name]
     got = cli.export(cli.run(suite, **config), "json").encode("utf-8")
     assert got == (GOLDEN / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# corestriction table
+#
+# Regenerated, only when the table is meant to change, with
+#
+#     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+# import test_golden_reports as g; print(g.corestriction_table(), end='')" \
+#         > tests/golden/corestriction_k3.txt
+
+def _format_expr(x) -> str:
+    """`format_tree` of an expression.  Integer letters and `args`-style
+    applications, the expression form before letters were leaves, print
+    the same way, so the table reads identically across that change."""
+    if isinstance(x, int):
+        return str(x)
+    if hasattr(x, "args"):
+        return f"{x.symbol.name}({','.join(_format_expr(a) for a in x.args)})"
+    return format_tree(x)
+
+
+def corestriction_table() -> str:
+    """One sorted line per term: every rank-r corestriction of every cell
+    of K(3) on single letters (r = 0..3), and the evaluated differential of
+    the arity-2 and arity-3 top-cell generators, at every letter parity."""
+    lines = []
+    for parities in itertools.product((0, 1), repeat=3):
+        par = {i + 1: p for i, p in enumerate(parities)}
+        tag = "".join(map(str, parities))
+        for cell in ah.decompose(3).cells:
+            for r in range(4):
+                out = ox.expand_corestriction(cell, (1, 1, 1), r, parities=par)
+                for word, c in out.items():
+                    word = " | ".join(_format_expr(x) for x in word)
+                    lines.append(
+                        f"phi^{r} {format_tree(cell)} p={tag} [{word}] {c}")
+    for k in (2, 3):
+        for parities in itertools.product((0, 1), repeat=k):
+            tag = "".join(map(str, parities))
+            out = ox.evaluate(ox.diff(ox.holie_gen(k)), parities)
+            for expr, c in out.items():
+                lines.append(f"d(holie_gen({k})) p={tag} "
+                             f"{_format_expr(expr)} {c}")
+    return "".join(line + "\n" for line in sorted(lines))
+
+
+def test_corestriction_table_matches_golden():
+    got = corestriction_table().encode("utf-8")
+    assert got == (GOLDEN / "corestriction_k3.txt").read_bytes()
