@@ -35,7 +35,6 @@ from .exact_chain import Complex, GradedMap, GradedSpace, vec_axpy
 from .operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
     format_tree, graft, leaf_labels, relabel, tree_arity, tree_degree,
-    tree_vertices,
 )
 
 
@@ -69,7 +68,7 @@ def dimension(cell) -> int:
 
 
 def vertex_count(cell) -> int:
-    return len(tree_vertices(cell))
+    return cell.nverts
 
 
 def point_cell(n: int):
@@ -100,7 +99,7 @@ def cone_chain(e: OperadElement) -> OperadElement:
     """Cone a chain of boundary cells; single-vertex terms are interior and
     may not be coned."""
     def one(t):
-        if vertex_count(t) < 2:
+        if t.nverts < 2:
             raise CellError("cone base must be a boundary cell")
         return _el(corolla(cone_symbol(t)))
     return e.map_trees(one)
@@ -111,7 +110,7 @@ def cone_chain_or_collapse(e: OperadElement) -> OperadElement:
     of a map into a cone is all that the coned map keeps)."""
     return OperadElement(e.arity, {corolla(cone_symbol(t)): c
                                    for t, c in e.terms.items()
-                                   if vertex_count(t) >= 2})
+                                   if t.nverts >= 2})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def _delete_leaf(t, j: int) -> OperadElement:
     def go(u) -> OperadElement:
         # u is a Node whose subtree contains leaf j
         for i, child in enumerate(u.children):
-            if j not in leaf_labels(child):
+            if j not in child.letters:
                 continue
             if isinstance(child, Leaf):
                 m = u.symbol.arity

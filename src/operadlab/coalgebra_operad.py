@@ -312,9 +312,9 @@ def delta_chain(e: OperadElement) -> dict:
 class CoalgebraOperad:
     """Arity-indexed dg coalgebras with insertion maps."""
 
-    def __init__(self, arities: dict, compose_fn, name: str):
+    def __init__(self, arities: dict, compose, name: str):
         self.arities = dict(arities)
-        self._compose = compose_fn
+        self.compose = compose  # compose(p, q, l, x, y)
         self.name = name
 
     def coalgebra(self, n: int) -> DgCoalgebra:
@@ -322,9 +322,6 @@ class CoalgebraOperad:
 
     def max_arity(self) -> int:
         return max(self.arities)
-
-    def compose(self, p, q, l, x, y):
-        return self._compose(p, q, l, x, y)
 
 
 def build_A(max_arity: int) -> CoalgebraOperad:
@@ -338,11 +335,7 @@ def build_A(max_arity: int) -> CoalgebraOperad:
         counit = {t: Fraction(1) for t in cx.space.labels
                   if tree_degree(t) == 0}
         arities[n] = DgCoalgebra(cx.space, cx.d, delta, counit, check=False)
-
-    def compose_fn(p, q, l, x, y):
-        return ah.insert_chain(p, q, l, x, y)
-
-    return CoalgebraOperad(arities, compose_fn, "A")
+    return CoalgebraOperad(arities, ah.insert_chain, "A")
 
 
 def as_operad(max_arity: int = 8) -> CoalgebraOperad:
@@ -371,7 +364,7 @@ def counit_morphism(e) -> Fraction:
 def coalgebra_of_boundary(n: int) -> DgCoalgebra:
     """The chain coalgebra of the decomposed boundary of K(n)."""
     cx = ah.decompose(n)
-    labels = [t for t in cx.space.labels if ah.vertex_count(t) >= 2]
+    labels = [t for t in cx.space.labels if t.nverts >= 2]
     sp = GradedSpace(labels, {t: cx.space.degree(t) for t in labels})
     d = GradedMap(sp, sp, (1,),
                   {t: {s: c for s, c in ah.boundary(t).terms.items()}

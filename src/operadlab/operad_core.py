@@ -3,6 +3,9 @@
 Trees are immutable.  A tree with n inputs has its leaves labeled by the
 input slots 1..n; in the asymmetric case the labels appear in planar order,
 and a permuted labeling records an explicit symmetric-group translate.
+Leaves and nodes carry the same cached attributes (`letters`, the leaf
+labels in order; `nverts`, `nleaves`, `total_degree`), so a tree whose leaf
+labels are read as letters is also a tensor expression.
 
 Sign conventions.  A decorated tree stands for the tensor of its vertex
 decorations in depth-first (preorder) order.  Grafting and vertex
@@ -50,14 +53,21 @@ class GeneratorSymbol:
 
 
 class Leaf:
-    __slots__ = ("label",)
+    """Interned input slot of a tree; carries the same attributes as a
+    `Node`, constant ones on the class."""
+
+    __slots__ = ("label", "letters")
     _cache: dict = {}
+    nverts = 0
+    nleaves = 1
+    total_degree = 0
 
     def __new__(cls, label):
         obj = cls._cache.get(label)
         if obj is None:
             obj = super().__new__(cls)
             obj.label = label
+            obj.letters = (label,)
             cls._cache[label] = obj
         return obj
 
@@ -69,9 +79,11 @@ class Leaf:
 
 
 class Node:
-    """Interned planar tree node; carries cached arity and degree."""
+    """Interned planar tree node; carries its leaf labels in order
+    (`letters`), vertex count, arity and degree."""
 
-    __slots__ = ("symbol", "children", "nleaves", "total_degree", "_key")
+    __slots__ = ("symbol", "children", "letters", "nverts", "nleaves",
+                 "total_degree", "_key")
     _cache: dict = {}
 
     def __new__(cls, symbol, children):
@@ -79,13 +91,18 @@ class Node:
         key = (symbol, children)
         obj = cls._cache.get(key)
         if obj is None:
+            if len(children) != symbol.arity:
+                raise CompositionError(
+                    f"{symbol.name} takes {symbol.arity} children, "
+                    f"got {len(children)}")
             obj = super().__new__(cls)
             obj.symbol = symbol
             obj.children = children
-            obj.nleaves = sum(
-                1 if isinstance(c, Leaf) else c.nleaves for c in children)
+            obj.letters = tuple(l for c in children for l in c.letters)
+            obj.nverts = 1 + sum(c.nverts for c in children)
+            obj.nleaves = len(obj.letters)
             obj.total_degree = symbol.degree + sum(
-                c.total_degree for c in children if isinstance(c, Node))
+                c.total_degree for c in children)
             obj._key = None
             cls._cache[key] = obj
         return obj
@@ -106,27 +123,21 @@ IDENTITY_TREE = Leaf(1)
 
 
 def corolla(symbol: GeneratorSymbol, labels: Optional[Iterable] = None) -> Node:
-    labels = tuple(labels) if labels is not None else tuple(range(1, symbol.arity + 1))
-    if len(labels) != symbol.arity:
-        raise CompositionError("corolla label count must match arity")
+    if labels is None:
+        labels = range(1, symbol.arity + 1)
     return Node(symbol, tuple(Leaf(l) for l in labels))
 
 
 def leaf_labels(t: Tree) -> list:
-    if isinstance(t, Leaf):
-        return [t.label]
-    out = []
-    for c in t.children:
-        out.extend(leaf_labels(c))
-    return out
+    return list(t.letters)
 
 
 def tree_arity(t: Tree) -> int:
-    return 1 if isinstance(t, Leaf) else t.nleaves
+    return t.nleaves
 
 
 def tree_degree(t: Tree) -> int:
-    return 0 if isinstance(t, Leaf) else t.total_degree
+    return t.total_degree
 
 
 def tree_vertices(t: Tree) -> list:

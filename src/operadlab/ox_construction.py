@@ -13,17 +13,13 @@ components of the induced coderivation) these generate a dg operad O(X):
   * O(A) is written G: generators phi(v)^1 over the cells v of the
     decomposed associahedra, plus the D_k.
 
-Two layers of calculus live side by side:
-
-  * operad elements: trees over `GeneratorSymbol`s (preorder-tensor sign
-    conventions of `operad_core`), used for differentials and homology;
-  * tensor expressions: interned `App` applications of the same symbols to
-    numbered letters, used to evaluate elements on formal graded inputs and
-    to expand corestrictions of any rank.
-
-The two are intertwined by `lift` (expressions with even letters have the
-same coefficients as their trees) and `evaluate` (which reinstates the
-Koszul signs for arbitrary letter parities).
+An element of O(X) acts on tensor words by plugging letters into its
+leaves, so there is one tree type: the tensor expression
+x -> phi(x1, D(x2, x3)) is the `operad_core` tree phi(1, D(2, 3)) whose leaf
+labels are the letters, and a tensor word is a tuple of such trees.  The
+corestriction engine builds these trees directly; read with all letters
+even they are operad elements with the same coefficients (`lift`), and
+`evaluate` adds the Koszul signs of arbitrary letter parities.
 
 Sign conventions that the source identities leave open are fixed once by
 requiring d^2 = 0 and the coderivation/coproduct compatibility rules, and
@@ -41,9 +37,8 @@ from .exact_chain import (Complex, GradedMap, GradedSpace, span, vec_acc,
                           vec_axpy)
 from .operad_core import (
     GeneratorSymbol, Leaf, Node, OperadElement, ShiftedElement, corolla,
-    format_tree, graft, leaf_labels, parity_sign, perm_sgn, relabel,
-    signed_shuffles, transpose_sign, tree_arity, tree_degree, tree_vertices,
-    FreeDifferential,
+    format_tree, graft, parity_sign, perm_sgn, relabel, signed_shuffles,
+    transpose_sign, tree_arity, tree_degree, FreeDifferential,
 )
 
 F = Fraction
@@ -119,12 +114,12 @@ class _AsContext:
                 return b
             if isinstance(b, Leaf) and b.label == i:
                 return a
-            if i in leaf_labels(a):
+            if i in a.letters:
                 return Node(u.symbol, (go(a), b))
             return Node(u.symbol, (a, go(b)))
 
         res = go(t)
-        mapping = {l: (l if l < i else l - 1) for l in leaf_labels(res)}
+        mapping = {l: (l if l < i else l - 1) for l in res.letters}
         return {relabel(res, mapping): F1}
 
 
@@ -172,59 +167,10 @@ def one_tree(n: int):
 
 
 # ---------------------------------------------------------------------------
-# tensor expressions
-
-class App:
-    """Interned application of a generator symbol to argument expressions
-    (arguments are integer letters or nested App nodes)."""
-
-    __slots__ = ("symbol", "args", "opdeg", "letters", "nops")
-    _cache: dict = {}
-
-    def __new__(cls, symbol, args):
-        args = tuple(args)
-        key = (symbol, args)
-        obj = cls._cache.get(key)
-        if obj is None:
-            if len(args) != symbol.arity:
-                raise OXError("argument count must match the symbol arity")
-            obj = super().__new__(cls)
-            obj.symbol = symbol
-            obj.args = args
-            obj.opdeg = symbol.degree + sum(
-                a.opdeg for a in args if isinstance(a, App))
-            letters = []
-            for a in args:
-                letters.extend(expr_letters(a))
-            obj.letters = tuple(letters)
-            obj.nops = 1 + sum(a.nops for a in args if isinstance(a, App))
-            cls._cache[key] = obj
-        return obj
-
-    def __repr__(self):
-        return format_expr(self)
-
-
-def format_expr(x) -> str:
-    if isinstance(x, int):
-        return f"x{x}"
-    return f"{x.symbol.name}({','.join(format_expr(a) for a in x.args)})"
-
-
-def expr_letters(x):
-    return (x,) if isinstance(x, int) else x.letters
-
-
-def expr_opdeg(x) -> int:
-    return 0 if isinstance(x, int) else x.opdeg
-
-
-def expr_nops(x) -> int:
-    return 0 if isinstance(x, int) else x.nops
-
+# tensor expressions: trees whose leaf labels are letters
 
 def expr_parity(x, par) -> int:
-    return (expr_opdeg(x) + sum(par[l] for l in expr_letters(x))) % 2
+    return (x.total_degree + sum(par[l] for l in x.letters)) % 2
 
 
 def word_parity(w, par) -> int:
@@ -232,7 +178,7 @@ def word_parity(w, par) -> int:
 
 
 def word_nops(w) -> int:
-    return sum(expr_nops(x) for x in w)
+    return sum(x.nverts for x in w)
 
 
 def truncate_words(ws: dict, max_weight: int) -> dict:
@@ -240,7 +186,7 @@ def truncate_words(ws: dict, max_weight: int) -> dict:
 
 
 def truncate_exprs(es: dict, max_weight: int) -> dict:
-    return {e: c for e, c in es.items() if expr_nops(e) <= max_weight}
+    return {e: c for e, c in es.items() if e.nverts <= max_weight}
 
 
 def _splits(word, r: int):
@@ -275,7 +221,7 @@ _rank_cache: dict = {}
 
 
 def _par_key(blocks, par):
-    return tuple(par[l] for b in blocks for x in b for l in expr_letters(x))
+    return tuple(par[l] for b in blocks for x in b for l in x.letters)
 
 
 def phi1_tree(ctx, t, blocks, par) -> dict:
@@ -317,14 +263,12 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
                 vec_axpy(out, c, phi1_tree(ctx, s, nb, par))
             return out
 
-    if len(tree_vertices(t)) == 1:
-        labels = leaf_labels(t)
-        if labels != sorted(labels):
+    if t.nverts == 1:
+        if list(t.letters) != sorted(t.letters):
             raise OXError("cell leaf labels must be in planar order")
         profile = tuple(len(b) for b in blocks)
         sym = phi_symbol(ctx.name, t, profile)
-        args = tuple(x for b in blocks for x in b)
-        return {App(sym, args): F1}
+        return {Node(sym, (x for b in blocks for x in b)): F1}
 
     # composite cell: recurse into the children
     children = t.children
@@ -338,7 +282,7 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
         if isinstance(ch, Leaf):
             infos.append([(tuple(chblocks[0]), F1)])
         else:
-            local = relabel(ch, {l: l - pos for l in leaf_labels(ch)})
+            local = relabel(ch, {l: l - pos for l in ch.letters})
             infos.append(list(phi_full(ctx, local, chblocks, par).items()))
         pos += a
     sign = transpose_sign([[tree_degree(ch) for ch in children], letter_pars])
@@ -433,8 +377,7 @@ def expand_corestriction(x, profile, rank: int = 1, ctx_name: str = "A",
     ctx = context(ctx_name)
     profile = tuple(profile)
     blocks = _letter_blocks(profile)
-    par = dict(parities) if parities else {
-        l: 0 for l in range(1, sum(profile) + 1)}
+    par = dict(parities) if parities else _parity_map((0,) * sum(profile))
     chain = x if isinstance(x, OperadElement) else _el(x)
     out = {}
     for t, c in chain.terms.items():
@@ -446,69 +389,57 @@ def _letter_blocks(profile):
     blocks = []
     nxt = 1
     for k in profile:
-        blocks.append(tuple(range(nxt, nxt + k)))
+        blocks.append(tuple(Leaf(l) for l in range(nxt, nxt + k)))
         nxt += k
     return tuple(blocks)
 
 
-def _even_par(n: int) -> dict:
-    return {l: 0 for l in range(1, n + 1)}
+def _parity_map(parities) -> dict:
+    """Letter label -> parity, from the parities of letters 1, 2, ..."""
+    return {i + 1: p % 2 for i, p in enumerate(parities)}
 
 
 # ---------------------------------------------------------------------------
-# lifting expressions to operad elements, and evaluating elements back
-
-def _lift_expr(x):
-    if isinstance(x, int):
-        return Leaf(x)
-    return Node(x.symbol, tuple(_lift_expr(a) for a in x.args))
-
+# reading expressions as operad elements, and evaluating elements back
 
 def lift(exprs: dict, arity: int) -> OperadElement:
     """Read an expression sum (with all letters declared even) as an operad
-    element: the preorder-tensor coefficients agree because even letters
-    never produce interleaving signs."""
-    terms = {}
-    for e, c in exprs.items():
-        vec_acc(terms, _lift_expr(e), c)
-    return OperadElement(arity, terms)
+    element: every expression is already a tree, and the preorder-tensor
+    coefficients agree because even letters never produce interleaving
+    signs."""
+    return OperadElement(arity, exprs)
 
 
-def _eval_tree(t, par):
+def _eval_sign(t, par) -> int:
+    """Koszul sign of evaluating a tree on letters: at every vertex, each
+    child's operators move past the letters of its left siblings."""
     if isinstance(t, Leaf):
-        return 1, t.label
-    # each child's operators move past the letters of its left siblings
+        return 1
     sign = transpose_sign([
-        [tree_degree(ch) for ch in t.children],
-        [sum(par[l] for l in leaf_labels(ch)) for ch in t.children]])
-    parts = []
+        [ch.total_degree for ch in t.children],
+        [sum(par[l] for l in ch.letters) for ch in t.children]])
     for ch in t.children:
-        s2, ex = _eval_tree(ch, par)
-        sign *= s2
-        parts.append(ex)
-    return sign, App(t.symbol, tuple(parts))
+        sign *= _eval_sign(ch, par)
+    return sign
 
 
 def evaluate(e, parities) -> dict:
     """Evaluate an operad element on formal graded letters.
 
     `parities[i]` is the parity of the input in slot i+1.  Returns
-    expression -> coefficient; the Koszul signs are the permutation sign of
-    the leaf labeling plus the interleaving of each subtree's operators
-    past the letters of its left siblings.
+    expression -> coefficient, each term keyed by its own tree; the Koszul
+    signs are the permutation sign of the leaf labeling plus the
+    interleaving of each subtree's operators past the letters of its left
+    siblings.
     """
     if isinstance(e, ShiftedElement):
         raise OXError("evaluate acts on unshifted elements")
-    par = {i + 1: p % 2 for i, p in enumerate(parities)}
+    par = _parity_map(parities)
     if len(par) != e.arity:
         raise OXError("one parity per input slot is required")
-    out = {}
-    degs = [par[i] for i in range(1, e.arity + 1)]
-    for t, c in e.terms.items():
-        s0 = parity_sign(tuple(leaf_labels(t)), degs)
-        sgn, ex = _eval_tree(t, par)
-        vec_acc(out, ex, c * s0 * sgn)
-    return out
+    degs = list(par.values())
+    return {t: c * parity_sign(t.letters, degs) * _eval_sign(t, par)
+            for t, c in e.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +471,7 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
     ctx = context(ctx_name)
     n = sum(profile)
     blocks = _letter_blocks(profile)
-    par = _even_par(n)
+    par = _parity_map((0,) * n)
 
     total = {}
     # phi of the cell boundary
@@ -549,7 +480,7 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
     # minus D applied to the higher corestriction ranks
     for s in range(2, n + 1):
         for w, c in phi_rank(ctx, cell, blocks, s, par).items():
-            vec_acc(total, App(d_symbol(s), w), -c)
+            vec_acc(total, Node(d_symbol(s), w), -c)
     # plus (sign |cell|) a D inserted into each block
     csign = -1 if tree_degree(cell) % 2 else 1
     for l, k in enumerate(profile):
@@ -564,9 +495,9 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
                         args.extend(blocks[b])
                     else:
                         args.extend(blocks[l][:pstart])
-                        args.append(App(d_symbol(j), seg))
+                        args.append(Node(d_symbol(j), seg))
                         args.extend(blocks[l][pstart + j:])
-                vec_acc(total, App(nsym, tuple(args)), csign)
+                vec_acc(total, Node(nsym, args), csign)
     return lift(total, n)
 
 
@@ -592,7 +523,7 @@ def associativity_defect(profile=(1, 1, 1)) -> OperadElement:
         raise OXError("the defect takes a three-block profile")
     n = sum(profile)
     blocks = _letter_blocks(profile)
-    par = _even_par(n)
+    par = _parity_map((0,) * n)
     left = lift(phi1_tree(AS_CONTEXT, one_tree(3), blocks, par), n)
     t = Node(AS2, (Leaf(1), Node(AS2, (Leaf(2), Leaf(3)))))
     right = lift(phi1_tree(AS_CONTEXT, t, blocks, par), n)
@@ -741,7 +672,7 @@ def filtration_weight(e) -> int:
         e = e.element
     if e.is_zero():
         raise OXError("the zero element has no finite filtration weight")
-    return min(len(tree_vertices(t)) for t in e.terms)
+    return min(t.nverts for t in e.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +751,7 @@ def _phi_lower(i: int, blocks, par) -> dict:
         (w,) = blocks
         if len(w) < 2:
             return {}
-        return {App(d_symbol(len(w)), w): F(UNARY_D_SIGN)}
+        return {Node(d_symbol(len(w)), w): F(UNARY_D_SIGN)}
     if i == 2 and not all(blocks):
         return {}
     out = {}
@@ -839,7 +770,7 @@ def holie_gen(k: int) -> OperadElement:
 def check_coproduct_rule(cell, profile, parities) -> bool:
     """phi(cell) as a full coalgebra map equals, modulo weight-2 words, the
     three-split extension of its rank-1 part plus counit times shuffle."""
-    par = {i + 1: p % 2 for i, p in enumerate(parities)}
+    par = _parity_map(parities)
     blocks = _letter_blocks(profile)
     lhs = truncate_words(phi_full(A_CONTEXT, cell, blocks, par), 1)
 
@@ -861,17 +792,17 @@ def check_differential_rule(k: int, parities) -> bool:
     """The differential of the arity-k top-cell generator, evaluated on
     letters, equals composition terms plus neighbor-shuffle terms modulo
     weight-3 expressions."""
-    par = {i + 1: p % 2 for i, p in enumerate(parities)}
+    par = _parity_map(parities)
+    letters = _letter_blocks((1,) * k)  # letters[i - 1] = (letter i,)
     lhs = truncate_exprs(evaluate(diff(holie_gen(k)), parities), 2)
 
     rhs = {}
     # neighbor shuffles through the arity-(k-1) operation
     for r in range(1, k):
         sign = TRI_CUP_SIGN * (-1 if (r - 1) % 2 else 1)
-        cup = shuffle_words((r,), (r + 1,), par)
+        cup = shuffle_words(letters[r - 1], letters[r], par)
         for w, c in cup.items():
-            blocks = ([(i,) for i in range(1, r)] + [w]
-                      + [(i,) for i in range(r + 2, k + 1)])
+            blocks = letters[:r - 1] + (w,) + letters[r + 1:]
             vec_axpy(rhs, sign * c, _phi_lower(k - 1, blocks, par))
     # compositions through the three-split extension
     for i in range(1, k + 1):
@@ -888,11 +819,9 @@ def check_differential_rule(k: int, parities) -> bool:
             ext = TRI_COMP_SIGN * ah.insertion_sign(i, j, l)
             if (j % 2) and (sum(par[x] for x in range(1, l)) % 2):
                 ext = -ext
-            tw = [(x,) for x in range(l, l + j)]
-            tval = t_chi(chi, j % 2, tw, par)
+            tval = t_chi(chi, j % 2, letters[l - 1:l - 1 + j], par)
             for w, c in tval.items():
-                blocks = ([(x,) for x in range(1, l)] + [w]
-                          + [(x,) for x in range(l + j, k + 1)])
+                blocks = letters[:l - 1] + (w,) + letters[l + j - 1:]
                 vec_axpy(rhs, ext * c, _phi_lower(i, blocks, par))
     rhs = truncate_exprs(rhs, 2)
     return lhs == rhs
@@ -945,7 +874,7 @@ def _to_B_image(sym: GeneratorSymbol) -> OperadElement:
     n = tree_arity(cell)
     blocks = _letter_blocks(profile)
     img = lift(phi1_tree(AS_CONTEXT, one_tree(n), blocks,
-                         _even_par(sum(profile))), sum(profile))
+                         _parity_map((0,) * sum(profile))), sum(profile))
     return img.scale(e)
 
 
@@ -956,7 +885,7 @@ def to_B(e: OperadElement) -> OperadElement:
 
 
 def _subst_tree(t, img) -> OperadElement:
-    labels = leaf_labels(t)
+    labels = t.letters
 
     def go(u):
         if isinstance(u, Leaf):
@@ -974,7 +903,7 @@ def _subst_tree(t, img) -> OperadElement:
 def holie_vanishing(k: int, rank: int, parities) -> dict:
     """Rank-`rank` corestriction of the top-cell family on single-letter
     blocks; empty for rank >= 2, k >= 3."""
-    par = {i + 1: p % 2 for i, p in enumerate(parities)}
+    par = _parity_map(parities)
     blocks = _letter_blocks((1,) * k)
     out = {}
     for t, c in ah.fundamental_class(k).terms.items():

@@ -222,7 +222,7 @@ def test_bracket_convention_matches_operadic_generator():
         parities = [x.sdeg % 2, y.sdeg % 2]
         total = zero_cochain(alg, ax + ay - 1)
         for expr, coeff in ox.evaluate(ox.bracket(), parities).items():
-            outer, inner = (letters[a] for a in expr.args)
+            outer, inner = (letters[a] for a in expr.letters)
             total = total.add(brace(outer, [inner]).scale(F(coeff)))
         assert total.sub(gerstenhaber_bracket(x, y)).is_zero()
 

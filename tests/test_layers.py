@@ -1,0 +1,60 @@
+"""The modules follow the layers of the mathematics.
+
+Each module of the package may import only the modules below it:
+
+    exact_chain < operad_core < associahedra < coalgebra_operad
+        < ox_construction,
+
+`hochschild_lab` rests on `exact_chain` and `operad_core` alone, and
+`cli_report` sits on top of everything.  The imports are read from the
+source with `ast`, including imports inside functions.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "operadlab"
+
+CHAIN = ("exact_chain", "operad_core", "associahedra", "coalgebra_operad",
+         "ox_construction")
+
+#: module -> the package modules it may import
+ALLOWED = {m: set(CHAIN[:i]) for i, m in enumerate(CHAIN)}
+ALLOWED["hochschild_lab"] = {"exact_chain", "operad_core"}
+ALLOWED["cli_report"] = set(ALLOWED) - {"cli_report"}
+
+
+def package_imports(path: Path) -> set:
+    """The package modules that the source file at `path` imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = (node.module or "").split(".")
+            elif node.module and node.module.split(".")[0] == "operadlab":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            if parts and parts[0]:
+                out.add(parts[0])
+            else:  # from . import x, from operadlab import x
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "operadlab" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_only_lower_layers(module):
+    got = package_imports(PACKAGE / f"{module}.py")
+    assert got <= ALLOWED[module], \
+        f"{module} imports {sorted(got - ALLOWED[module])} from above its layer"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from operadlab.operad_core import (
-    FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
+    CompositionError, FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
     graft, leaf_labels, parity_sign, perm_sgn, replace_vertex,
     shift_degree, shift_operad, signed_shuffles, suspension_sign,
     transpose_sign, tree_degree, ShiftedElement,
@@ -25,6 +25,15 @@ def test_corolla_and_labels():
     t = corolla(C2)
     assert leaf_labels(t) == [1, 2]
     assert tree_degree(t) == 0
+
+
+def test_node_child_count_must_match_arity():
+    with pytest.raises(CompositionError):
+        Node(C2, (Leaf(1),))
+    with pytest.raises(CompositionError):
+        Node(A1, (Leaf(1), Leaf(2)))
+    with pytest.raises(CompositionError):
+        corolla(C2, (1, 2, 3))
 
 
 def test_graft_unit_behavior():
@@ -255,15 +264,34 @@ def _labeled(rng, t):
     return label(t)
 
 
+def _walk_attributes(t):
+    """(letters, nverts, nleaves, total_degree) of a tree by a full walk."""
+    if isinstance(t, Leaf):
+        return (t.label,), 0, 1, 0
+    letters, nverts, degree = (), 1, t.symbol.degree
+    for c in t.children:
+        cl, cv, _, cd = _walk_attributes(c)
+        letters, nverts, degree = letters + cl, nverts + cv, degree + cd
+    return letters, nverts, len(letters), degree
+
+
+def _assert_attributes(t):
+    assert (t.letters, t.nverts, t.nleaves, t.total_degree) == \
+        _walk_attributes(t), t
+
+
 def test_graft_and_replace_vertex_signs_on_random_trees():
     rng = random.Random(7)
     for _ in range(300):
         outer = _labeled(rng, _random_shape(rng, 3))
         inner = _labeled(rng, _random_shape(rng, 3))
+        _assert_attributes(outer)
+        _assert_attributes(inner)
         for i in range(1, len(leaf_labels(outer)) + 1):
             got = graft(el(outer), el(inner), i)
             assert list(got.terms.values()) == \
                 [_ref_graft_sign(outer, inner, i)], (outer, inner, i)
+            _assert_attributes(next(iter(got.terms)))
         # replace a vertex with odd or even random subtrees below it,
         # sitting at the root or below an earlier sibling
         s = _labeled(rng, _random_shape(rng, 3, branching=True))
@@ -278,6 +306,7 @@ def test_graft_and_replace_vertex_signs_on_random_trees():
         got = replace_vertex(tree, path, el(s))
         want = _ref_replace_sign(s, [tree_degree(c) for c in target.children])
         assert list(got.terms.values()) == [want], (tree, path, s)
+        _assert_attributes(next(iter(got.terms)))
 
 
 def test_shift_degree_examples():

@@ -6,11 +6,13 @@ import pytest
 
 from operadlab import associahedra as ah
 from operadlab import ox_construction as ox
-from operadlab.operad_core import OperadElement, ShiftedElement, corolla, graft
+from operadlab.operad_core import (
+    Leaf, Node, OperadElement, ShiftedElement, corolla, graft, tree_degree,
+)
 from operadlab.ox_construction import (
-    App, OXError, arity2_homology, associativity_defect, bracket,
+    OXError, arity2_homology, associativity_defect, bracket,
     check_Gg_and_tri, d_symbol, diff, equal_in_O, evaluate,
-    expand_corestriction, expr_opdeg, filtration_weight, holie_gen,
+    expand_corestriction, filtration_weight, holie_gen,
     holie_map, holie_vanishing, jacobiator, lift, mm_symbol, phi_symbol,
     signs_report, to_B, write_signs,
 )
@@ -80,9 +82,10 @@ def test_expand_vanishes_beyond_letter_count():
 def test_rank2_of_binary_cell_is_signed_shuffle():
     pt2 = ah.point_cell(2)
     even = expand_corestriction(pt2, (1, 1), rank=2)
-    assert even == {(1, 2): F(1), (2, 1): F(1)}
+    x1, x2 = Leaf(1), Leaf(2)
+    assert even == {(x1, x2): F(1), (x2, x1): F(1)}
     odd = expand_corestriction(pt2, (1, 1), rank=2, parities={1: 1, 2: 1})
-    assert odd == {(1, 2): F(1), (2, 1): F(-1)}
+    assert odd == {(x1, x2): F(1), (x2, x1): F(-1)}
 
 
 def test_commutator_rank2_vanishes():
@@ -93,7 +96,8 @@ def test_commutator_rank2_vanishes():
         a = holie_vanishing(2, 2, (p1, p2))
         b = {}
         for t, c in ah.fundamental_class(2).terms.items():
-            for w, c2 in ox.phi_rank(ox.A_CONTEXT, t, ((2,), (1,)), 2,
+            for w, c2 in ox.phi_rank(ox.A_CONTEXT, t,
+                                     ((Leaf(2),), (Leaf(1),)), 2,
                                      par).items():
                 vec_acc(b, w, c * c2)
         comm = dict(a)
@@ -120,22 +124,22 @@ def _expr_substitute(ea, eb, i, pa, nb):
     out = {}
 
     def shift_b(x):
-        if isinstance(x, int):
-            return x + i - 1
-        return App(x.symbol, tuple(shift_b(a) for a in x.args))
+        if isinstance(x, Leaf):
+            return Leaf(x.label + i - 1)
+        return Node(x.symbol, tuple(shift_b(a) for a in x.children))
 
     for xb, cb in eb.items():
         xb2 = shift_b(xb)
-        opb = expr_opdeg(xb)
+        opb = tree_degree(xb)
         for xa, ca in ea.items():
             def repl(x):
-                if isinstance(x, int):
-                    if x < i:
+                if isinstance(x, Leaf):
+                    if x.label < i:
                         return x
-                    if x == i:
+                    if x.label == i:
                         return xb2
-                    return x + nb - 1
-                return App(x.symbol, tuple(repl(a) for a in x.args))
+                    return Leaf(x.label + nb - 1)
+                return Node(x.symbol, tuple(repl(a) for a in x.children))
             pre = sum(pa[l] for l in range(1, i)) % 2
             s = -1 if (opb % 2 and pre) else 1
             vec_acc(out, repl(xa), s * ca * cb)
