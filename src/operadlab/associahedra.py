@@ -67,10 +67,6 @@ def dimension(cell) -> int:
     return -tree_degree(cell)
 
 
-def vertex_count(cell) -> int:
-    return cell.nverts
-
-
 def point_cell(n: int):
     if n == 1:
         return Leaf(1)

@@ -17,9 +17,10 @@ An element of O(X) acts on tensor words by plugging letters into its
 leaves, so there is one tree type: the tensor expression
 x -> phi(x1, D(x2, x3)) is the `operad_core` tree phi(1, D(2, 3)) whose leaf
 labels are the letters, and a tensor word is a tuple of such trees.  The
-corestriction engine builds these trees directly; read with all letters
-even they are operad elements with the same coefficients (`lift`), and
-`evaluate` adds the Koszul signs of arbitrary letter parities.
+corestriction engine builds these trees directly, on even atoms: read so
+they are operad elements with the same coefficients (`lift`).  Graded
+letters add one sign, `koszul_sign`, taken once per result term by both
+`evaluate` and `at_parities`, the engine's reader on graded atoms.
 
 Sign conventions that the source identities leave open are fixed once by
 requiring d^2 = 0 and the coderivation/coproduct compatibility rules, and
@@ -28,6 +29,7 @@ are exported through `signs_report` / `write_signs`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -214,39 +216,23 @@ def _delta_iter(ctx, t, r: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# corestriction expansion engine
+# corestriction expansion engine, on even atoms
+#
+# The blocks hold atoms: letters, or expressions standing in for tensor
+# factors.  The engine never reads a parity; `at_parities` reads its result
+# on graded atoms.  Results are memoized, so treat them as read-only.
 
-_phi1_cache: dict = {}
-_rank_cache: dict = {}
-
-
-def _par_key(blocks, par):
-    return tuple(par[l] for b in blocks for x in b for l in x.letters)
-
-
-def phi1_tree(ctx, t, blocks, par) -> dict:
-    """Memoized front end of `_phi1_tree`; treat the result as read-only."""
-    blocks = tuple(tuple(b) for b in blocks)
-    key = (ctx.name, t, blocks, _par_key(blocks, par))
-    hit = _phi1_cache.get(key)
-    if hit is None:
-        hit = _phi1_tree(ctx, t, blocks, par)
-        _phi1_cache[key] = hit
-    return hit
-
-
-def _phi1_tree(ctx, t, blocks, par) -> dict:
+@functools.cache
+def phi1_tree(ctx, t, blocks) -> dict:
     """Rank-1 corestriction of phi(t) applied to the given blocks.
 
     `t` is a cell tree of the context (possibly multi-vertex: a composite
-    in the cell operad), `blocks` a tuple of words (one per input slot of
-    t), `par` a mapping letter -> parity.  Returns expression -> coeff.
+    in the cell operad), `blocks` a tuple of tuples of atoms (one per input
+    slot of t).  Returns expression -> coeff.
 
     Composites expand multiplicatively: phi of a grafting is phi of the
-    root applied to the full corestrictions of the children, each child's
-    operator picking up a Koszul sign against the letters of the blocks of
-    the children before it.  Empty blocks are resolved by deleting the
-    corresponding input slot of the cell.
+    root applied to the full corestrictions of the children.  Empty blocks
+    are resolved by deleting the corresponding input slot of the cell.
     """
     if isinstance(t, Leaf):
         if len(blocks) != 1:
@@ -260,7 +246,7 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
             nb = blocks[:i] + blocks[i + 1:]
             out = {}
             for s, c in ctx.insert0(t, i + 1).items():
-                vec_axpy(out, c, phi1_tree(ctx, s, nb, par))
+                vec_axpy(out, c, phi1_tree(ctx, s, nb))
             return out
 
     if t.nverts == 1:
@@ -271,98 +257,114 @@ def _phi1_tree(ctx, t, blocks, par) -> dict:
         return {Node(sym, (x for b in blocks for x in b)): F1}
 
     # composite cell: recurse into the children
-    children = t.children
     infos = []
-    letter_pars = []
     pos = 0
-    for ch in children:
+    for ch in t.children:
         a = tree_arity(ch)
         chblocks = blocks[pos:pos + a]
-        letter_pars.append(sum(word_parity(b, par) for b in chblocks))
         if isinstance(ch, Leaf):
-            infos.append([(tuple(chblocks[0]), F1)])
+            infos.append([(chblocks[0], F1)])
         else:
             local = relabel(ch, {l: l - pos for l in ch.letters})
-            infos.append(list(phi_full(ctx, local, chblocks, par).items()))
+            infos.append(list(phi_full(ctx, local, chblocks).items()))
         pos += a
-    sign = transpose_sign([[tree_degree(ch) for ch in children], letter_pars])
 
+    root = corolla(t.symbol)
     out = {}
     for combo in itertools.product(*infos):
         coeff = F1
         for _, c in combo:
             coeff *= c
         words = tuple(w for (w, _) in combo)
-        sub = phi1_tree(ctx, corolla(t.symbol), words, par)
-        vec_axpy(out, sign * coeff, sub)
+        vec_axpy(out, coeff, phi1_tree(ctx, root, words))
     return out
 
 
-def phi_rank(ctx, t, blocks, r: int, par) -> dict:
-    """Memoized front end of `_phi_rank`; treat the result as read-only."""
-    blocks = tuple(tuple(b) for b in blocks)
-    key = (ctx.name, t, blocks, r, _par_key(blocks, par))
-    hit = _rank_cache.get(key)
-    if hit is None:
-        hit = _phi_rank(ctx, t, blocks, r, par)
-        _rank_cache[key] = hit
-    return hit
-
-
-def _phi_rank(ctx, t, blocks, r: int, par) -> dict:
+@functools.cache
+def phi_rank(ctx, t, blocks, r: int) -> dict:
     """Rank-r corestriction of phi(t): word (length r) -> coefficient.
 
     Rank r factors as r rank-1 pieces against the iterated coproduct of the
-    cell and ordered deconcatenations of every block; the Koszul sign of
-    regrouping (cell components to their rows, pieces from block-major to
-    row-major order) is one `transpose_sign`.
+    cell and ordered deconcatenations of every block.
     """
-    n = len(blocks)
     if r == 0:
         if any(blocks):
             return {}
         e = ctx.eps(t)
         return {(): F(e)} if e else {}
     if r == 1:
-        return {(e,): c for e, c in phi1_tree(ctx, t, blocks, par).items()}
+        return {(e,): c for e, c in phi1_tree(ctx, t, blocks).items()}
     if r > sum(len(b) for b in blocks):
         return {}
 
     out = {}
     for comps, c0 in _delta_iter(ctx, t, r).items():
-        comp_degs = [tree_degree(c) for c in comps]
         for choice in itertools.product(*[_splits(b, r) for b in blocks]):
-            # choice[b][i] = the piece of block b handed to row i; the cell
-            # components are block 0 of the regrouping
-            sign = transpose_sign(
-                [comp_degs] + [[word_parity(p, par) for p in pieces]
-                               for pieces in choice])
-            rows = []
-            dead = False
-            for i in range(r):
-                row = phi1_tree(ctx, comps[i],
-                                tuple(choice[b][i] for b in range(n)), par)
-                if not row:
-                    dead = True
-                    break
-                rows.append(list(row.items()))
-            if dead:
-                continue
+            # choice[b][i] = the piece of block b handed to row i
+            rows = [phi1_tree(ctx, comps[i],
+                              tuple(pieces[i] for pieces in choice)).items()
+                    for i in range(r)]
             for picks in itertools.product(*rows):
                 word = tuple(e for (e, _) in picks)
-                c = c0 * sign
+                c = c0
                 for (_, ci) in picks:
                     c *= ci
                 vec_acc(out, word, c)
     return out
 
 
-def phi_full(ctx, t, blocks, par) -> dict:
+def phi_full(ctx, t, blocks) -> dict:
     """All corestriction ranks at once: word -> coefficient."""
     out = {}
     total = sum(len(b) for b in blocks)
     for r in range(0, total + 1):
-        vec_axpy(out, 1, phi_rank(ctx, t, blocks, r, par))
+        vec_axpy(out, 1, phi_rank(ctx, t, blocks, r))
+    return out
+
+
+def koszul_sign(x, q) -> int:
+    """Koszul sign of a tree, or of a word of trees, on graded letters.
+
+    `q[l - 1]` is the parity of letter l.  The sign is that of the
+    permutation of the letters, times, at every level, each tree's
+    operators moving past the letters of the trees before it.
+    """
+    def past(trees):
+        sign = transpose_sign([
+            [u.total_degree for u in trees],
+            [sum(q[l - 1] for l in u.letters) for u in trees]])
+        for u in trees:
+            if isinstance(u, Node):
+                sign *= past(u.children)
+        return sign
+
+    trees = x if isinstance(x, tuple) else (x,)
+    return parity_sign([l for u in trees for l in u.letters], q) * past(trees)
+
+
+def _substitute(x, atoms):
+    """A tree, or a word of trees, with atoms[l - 1] in place of letter l."""
+    if isinstance(x, tuple):
+        return tuple(_substitute(u, atoms) for u in x)
+    if isinstance(x, Leaf):
+        return atoms[x.label - 1]
+    return Node(x.symbol, (_substitute(u, atoms) for u in x.children))
+
+
+def at_parities(fn, ctx, t, blocks, par, *rank) -> dict:
+    """`fn` (`phi1_tree`, `phi_rank` or `phi_full`) on blocks of graded atoms.
+
+    The engine runs on one even placeholder letter per atom, in block
+    order.  Each term then takes its `koszul_sign` under the atoms'
+    parities (`par` maps letter -> parity), and the atoms replace the
+    placeholders.
+    """
+    atoms = [x for b in blocks for x in b]
+    q = [expr_parity(x, par) for x in atoms]
+    placeholders = _letter_blocks(tuple(len(b) for b in blocks))
+    out = {}
+    for x, c in fn(ctx, t, placeholders, *rank).items():
+        vec_acc(out, _substitute(x, atoms), c * koszul_sign(x, q))
     return out
 
 
@@ -371,17 +373,18 @@ def expand_corestriction(x, profile, rank: int = 1, ctx_name: str = "A",
     """Rank-`rank` corestriction of phi(x) with the given block profile.
 
     `x` is a cell tree or a chain (OperadElement) of the context; letters
-    1..sum(profile) are split into consecutive blocks.  Returns a mapping
+    1..sum(profile) are split into consecutive blocks, `parities[i]` being
+    the parity of letter i+1 (all even by default).  Returns a mapping
     word (tuple of expressions, length = rank) -> coefficient.
     """
     ctx = context(ctx_name)
     profile = tuple(profile)
     blocks = _letter_blocks(profile)
-    par = dict(parities) if parities else _parity_map((0,) * sum(profile))
+    par = _parity_map(parities or (0,) * sum(profile))
     chain = x if isinstance(x, OperadElement) else _el(x)
     out = {}
     for t, c in chain.terms.items():
-        vec_axpy(out, c, phi_rank(ctx, t, blocks, rank, par))
+        vec_axpy(out, c, at_parities(phi_rank, ctx, t, blocks, par, rank))
     return out
 
 
@@ -410,36 +413,19 @@ def lift(exprs: dict, arity: int) -> OperadElement:
     return OperadElement(arity, exprs)
 
 
-def _eval_sign(t, par) -> int:
-    """Koszul sign of evaluating a tree on letters: at every vertex, each
-    child's operators move past the letters of its left siblings."""
-    if isinstance(t, Leaf):
-        return 1
-    sign = transpose_sign([
-        [ch.total_degree for ch in t.children],
-        [sum(par[l] for l in ch.letters) for ch in t.children]])
-    for ch in t.children:
-        sign *= _eval_sign(ch, par)
-    return sign
-
-
 def evaluate(e, parities) -> dict:
     """Evaluate an operad element on formal graded letters.
 
     `parities[i]` is the parity of the input in slot i+1.  Returns
-    expression -> coefficient, each term keyed by its own tree; the Koszul
-    signs are the permutation sign of the leaf labeling plus the
-    interleaving of each subtree's operators past the letters of its left
-    siblings.
+    expression -> coefficient, each term keyed by its own tree and signed
+    by its `koszul_sign`.
     """
     if isinstance(e, ShiftedElement):
         raise OXError("evaluate acts on unshifted elements")
-    par = _parity_map(parities)
-    if len(par) != e.arity:
+    q = [p % 2 for p in parities]
+    if len(q) != e.arity:
         raise OXError("one parity per input slot is required")
-    degs = list(par.values())
-    return {t: c * parity_sign(t.letters, degs) * _eval_sign(t, par)
-            for t, c in e.terms.items()}
+    return {t: c * koszul_sign(t, q) for t, c in e.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +457,14 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
     ctx = context(ctx_name)
     n = sum(profile)
     blocks = _letter_blocks(profile)
-    par = _parity_map((0,) * n)
 
     total = {}
     # phi of the cell boundary
     for t, c in ctx.boundary(cell).items():
-        vec_axpy(total, c, phi1_tree(ctx, t, blocks, par))
+        vec_axpy(total, c, phi1_tree(ctx, t, blocks))
     # minus D applied to the higher corestriction ranks
     for s in range(2, n + 1):
-        for w, c in phi_rank(ctx, cell, blocks, s, par).items():
+        for w, c in phi_rank(ctx, cell, blocks, s).items():
             vec_acc(total, Node(d_symbol(s), w), -c)
     # plus (sign |cell|) a D inserted into each block
     csign = -1 if tree_degree(cell) % 2 else 1
@@ -523,10 +508,9 @@ def associativity_defect(profile=(1, 1, 1)) -> OperadElement:
         raise OXError("the defect takes a three-block profile")
     n = sum(profile)
     blocks = _letter_blocks(profile)
-    par = _parity_map((0,) * n)
-    left = lift(phi1_tree(AS_CONTEXT, one_tree(3), blocks, par), n)
+    left = lift(phi1_tree(AS_CONTEXT, one_tree(3), blocks), n)
     t = Node(AS2, (Leaf(1), Node(AS2, (Leaf(2), Leaf(3)))))
-    right = lift(phi1_tree(AS_CONTEXT, t, blocks, par), n)
+    right = lift(phi1_tree(AS_CONTEXT, t, blocks), n)
     return left.sub(right)
 
 
@@ -756,7 +740,7 @@ def _phi_lower(i: int, blocks, par) -> dict:
         return {}
     out = {}
     for t, c in ah.fundamental_class(i).terms.items():
-        vec_axpy(out, c, phi1_tree(A_CONTEXT, t, blocks, par))
+        vec_axpy(out, c, at_parities(phi1_tree, A_CONTEXT, t, blocks, par))
     return out
 
 
@@ -772,12 +756,13 @@ def check_coproduct_rule(cell, profile, parities) -> bool:
     three-split extension of its rank-1 part plus counit times shuffle."""
     par = _parity_map(parities)
     blocks = _letter_blocks(profile)
-    lhs = truncate_words(phi_full(A_CONTEXT, cell, blocks, par), 1)
+    lhs = truncate_words(at_parities(phi_full, A_CONTEXT, cell, blocks, par),
+                         1)
 
     def chi(mids):
         if sum(len(m) for m in mids) < 2:
             return {}
-        return phi1_tree(A_CONTEXT, cell, mids, par)
+        return at_parities(phi1_tree, A_CONTEXT, cell, mids, par)
 
     rhs = {}
     vec_axpy(rhs, RULE_CHI_SIGN, t_chi(chi, tree_degree(cell), blocks, par))
@@ -873,8 +858,7 @@ def _to_B_image(sym: GeneratorSymbol) -> OperadElement:
         return OperadElement.zero(sym.arity)
     n = tree_arity(cell)
     blocks = _letter_blocks(profile)
-    img = lift(phi1_tree(AS_CONTEXT, one_tree(n), blocks,
-                         _parity_map((0,) * sum(profile))), sum(profile))
+    img = lift(phi1_tree(AS_CONTEXT, one_tree(n), blocks), sum(profile))
     return img.scale(e)
 
 
@@ -907,7 +891,8 @@ def holie_vanishing(k: int, rank: int, parities) -> dict:
     blocks = _letter_blocks((1,) * k)
     out = {}
     for t, c in ah.fundamental_class(k).terms.items():
-        vec_axpy(out, c, phi_rank(A_CONTEXT, t, blocks, rank, par))
+        vec_axpy(out, c,
+                 at_parities(phi_rank, A_CONTEXT, t, blocks, par, rank))
     return out
 
 

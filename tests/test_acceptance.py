@@ -4,8 +4,13 @@ Each test prints one pass/fail line; run with `pytest -v` for the
 per-criterion status lines.
 """
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 from operadlab import associahedra as ah
 from operadlab import coalgebra_operad as co
@@ -223,6 +228,23 @@ def test_criterion_08_truncated_identities():
         ok &= rep["coproduct_rule"] and rep["differential_rule"]
     _report(8, ok, "coproduct rule mod weight 2 and differential rule "
                    "mod weight 3, k<=4")
+
+
+def test_criterion_08_truncated_identities_cold(tmp_path):
+    # The corestriction memo is shared by every parity assignment, so the
+    # verdict is taken once more in a fresh interpreter, on empty memos,
+    # started as in test_cli_subprocess_byte_identical.
+    root = str(Path(ox.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = ("import json; from operadlab import ox_construction as ox; "
+            "print(json.dumps([ox.check_Gg_and_tri(k) for k in (2, 3, 4)]))")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path))
+    assert p.returncode == 0, p.stderr.decode(errors="replace")
+    reps = json.loads(p.stdout)
+    ok = [r["arity"] for r in reps] == [2, 3, 4] and all(
+        r["coproduct_rule"] and r["differential_rule"] for r in reps)
+    _report(8, ok, "the same identities, k<=4, in a fresh interpreter")
 
 
 def test_criterion_09_antisymmetrized_family():

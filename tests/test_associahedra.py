@@ -6,7 +6,7 @@ import pytest
 from operadlab.associahedra import (
     CellError, apex_symbol, boundary, boundary_fundamental_cycle,
     cone_symbol, decompose, dimension, facets, fundamental_class, insert,
-    insert_chain, point_cell, vertex_count,
+    insert_chain, point_cell,
 )
 from operadlab.operad_core import Leaf, Node, OperadElement, corolla
 
@@ -50,8 +50,8 @@ def test_cone_over_boundary_vertex_of_k3():
     cx = decompose(3)
     v = cx.cells_of_dimension(0)[0]
     # pick a boundary vertex (two tree vertices)
-    v = next(t for t in cx.cells_of_dimension(0) if vertex_count(t) == 2)
-    apex = next(t for t in cx.cells_of_dimension(0) if vertex_count(t) == 1)
+    v = next(t for t in cx.cells_of_dimension(0) if t.nverts == 2)
+    apex = next(t for t in cx.cells_of_dimension(0) if t.nverts == 1)
     edge = corolla(cone_symbol(v))
     db = boundary(edge)
     assert db == OperadElement.from_tree(v).sub(OperadElement.from_tree(apex))
@@ -62,7 +62,7 @@ def test_insert_22_gives_boundary_vertex_of_k3():
     cell = insert(2, 2, 1, pt, pt)
     cx = decompose(3)
     assert cell in cx.cells
-    assert dimension(cell) == 0 and vertex_count(cell) == 2
+    assert dimension(cell) == 0 and cell.nverts == 2
 
 
 def test_insert_q1_identity():
@@ -75,14 +75,14 @@ def test_insert0_maps_apex_to_apex():
         decompose(n)
         apex = point_cell(2) if n == 2 else \
             next(t for t in decompose(n).cells_of_dimension(0)
-                 if vertex_count(t) == 1)
+                 if t.nverts == 1)
         for j in range(1, n + 1):
             img = insert(n, 0, j, apex)
             if n == 2:
                 from operadlab.operad_core import Leaf
                 assert img == Leaf(1)
             else:
-                assert vertex_count(img) == 1 and dimension(img) == 0
+                assert img.nverts == 1 and dimension(img) == 0
                 assert img in decompose(n - 1).cells
 
 

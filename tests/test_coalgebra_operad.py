@@ -73,8 +73,8 @@ def test_cone_of_boundary_is_A(n):
 def test_A3_edge_coproduct():
     # Delta(cone over a boundary vertex v) = (T v) ox v + apex ox (T v)
     cx = ah.decompose(3)
-    v = next(t for t in cx.cells_of_dimension(0) if ah.vertex_count(t) == 2)
-    apex = next(t for t in cx.cells_of_dimension(0) if ah.vertex_count(t) == 1)
+    v = next(t for t in cx.cells_of_dimension(0) if t.nverts == 2)
+    apex = next(t for t in cx.cells_of_dimension(0) if t.nverts == 1)
     edge = corolla(ah.cone_symbol(v))
     assert delta_cell(edge) == {(edge, v): F(1), (apex, edge): F(1)}
 
@@ -219,7 +219,7 @@ def ground_coalgebra_for_point():
 
 def _iso_from_A(n):
     def back(cell):
-        if ah.vertex_count(cell) >= 2:
+        if cell.nverts >= 2:
             return cell
         if isinstance(cell, Leaf):
             raise AssertionError("identity cell has no cone description")

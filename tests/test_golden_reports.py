@@ -46,30 +46,19 @@ def test_report_matches_golden(name):
 # import test_golden_reports as g; print(g.corestriction_table(), end='')" \
 #         > tests/golden/corestriction_k3.txt
 
-def _format_expr(x) -> str:
-    """`format_tree` of an expression.  Integer letters and `args`-style
-    applications, the expression form before letters were leaves, print
-    the same way, so the table reads identically across that change."""
-    if isinstance(x, int):
-        return str(x)
-    if hasattr(x, "args"):
-        return f"{x.symbol.name}({','.join(_format_expr(a) for a in x.args)})"
-    return format_tree(x)
-
-
 def corestriction_table() -> str:
     """One sorted line per term: every rank-r corestriction of every cell
     of K(3) on single letters (r = 0..3), and the evaluated differential of
     the arity-2 and arity-3 top-cell generators, at every letter parity."""
     lines = []
     for parities in itertools.product((0, 1), repeat=3):
-        par = {i + 1: p for i, p in enumerate(parities)}
         tag = "".join(map(str, parities))
         for cell in ah.decompose(3).cells:
             for r in range(4):
-                out = ox.expand_corestriction(cell, (1, 1, 1), r, parities=par)
+                out = ox.expand_corestriction(cell, (1, 1, 1), r,
+                                              parities=parities)
                 for word, c in out.items():
-                    word = " | ".join(_format_expr(x) for x in word)
+                    word = " | ".join(format_tree(x) for x in word)
                     lines.append(
                         f"phi^{r} {format_tree(cell)} p={tag} [{word}] {c}")
     for k in (2, 3):
@@ -78,7 +67,7 @@ def corestriction_table() -> str:
             out = ox.evaluate(ox.diff(ox.holie_gen(k)), parities)
             for expr, c in out.items():
                 lines.append(f"d(holie_gen({k})) p={tag} "
-                             f"{_format_expr(expr)} {c}")
+                             f"{format_tree(expr)} {c}")
     return "".join(line + "\n" for line in sorted(lines))
 
 

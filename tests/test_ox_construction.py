@@ -7,7 +7,8 @@ import pytest
 from operadlab import associahedra as ah
 from operadlab import ox_construction as ox
 from operadlab.operad_core import (
-    Leaf, Node, OperadElement, ShiftedElement, corolla, graft, tree_degree,
+    Leaf, Node, OperadElement, ShiftedElement, corolla, graft, relabel,
+    transpose_sign, tree_arity, tree_degree,
 )
 from operadlab.ox_construction import (
     OXError, arity2_homology, associativity_defect, bracket,
@@ -84,7 +85,7 @@ def test_rank2_of_binary_cell_is_signed_shuffle():
     even = expand_corestriction(pt2, (1, 1), rank=2)
     x1, x2 = Leaf(1), Leaf(2)
     assert even == {(x1, x2): F(1), (x2, x1): F(1)}
-    odd = expand_corestriction(pt2, (1, 1), rank=2, parities={1: 1, 2: 1})
+    odd = expand_corestriction(pt2, (1, 1), rank=2, parities=(1, 1))
     assert odd == {(x1, x2): F(1), (x2, x1): F(-1)}
 
 
@@ -96,15 +97,156 @@ def test_commutator_rank2_vanishes():
         a = holie_vanishing(2, 2, (p1, p2))
         b = {}
         for t, c in ah.fundamental_class(2).terms.items():
-            for w, c2 in ox.phi_rank(ox.A_CONTEXT, t,
-                                     ((Leaf(2),), (Leaf(1),)), 2,
-                                     par).items():
+            for w, c2 in ox.at_parities(ox.phi_rank, ox.A_CONTEXT, t,
+                                        ((Leaf(2),), (Leaf(1),)), par,
+                                        2).items():
                 vec_acc(b, w, c * c2)
         comm = dict(a)
         sgn = -1 if (p1 and p2) else 1
         for w, c in b.items():
             vec_acc(comm, w, -sgn * c)
         assert not comm, (p1, p2)
+
+
+# The sign-threaded engine that `at_parities` replaced, kept as the
+# reference for the sign rule: it carries a letter -> parity map through
+# the recursion, signs every composite by its children's operators moving
+# past the earlier children's letters, and every rank-r split by the
+# regrouping of cell components and block pieces (worked out here only
+# once every row of the split is nonzero).  One memo per context and
+# parity assignment.
+
+def _ref_phi1(ctx, t, blocks, par, memo):
+    key = ("phi1", t, blocks)
+    if key in memo:
+        return memo[key]
+    if isinstance(t, Leaf):
+        out = {blocks[0][0]: F(1)} if len(blocks[0]) == 1 else {}
+    elif not all(blocks):
+        i = next(i for i, b in enumerate(blocks) if not b)
+        nb = blocks[:i] + blocks[i + 1:]
+        out = {}
+        for s, c in ctx.insert0(t, i + 1).items():
+            for e, c2 in _ref_phi1(ctx, s, nb, par, memo).items():
+                vec_acc(out, e, c * c2)
+    elif t.nverts == 1:
+        sym = phi_symbol(ctx.name, t, tuple(len(b) for b in blocks))
+        out = {Node(sym, [x for b in blocks for x in b]): F(1)}
+    else:
+        infos, letter_pars, pos = [], [], 0
+        for ch in t.children:
+            a = tree_arity(ch)
+            chblocks = blocks[pos:pos + a]
+            letter_pars.append(sum(ox.word_parity(b, par) for b in chblocks))
+            if isinstance(ch, Leaf):
+                infos.append([(chblocks[0], F(1))])
+            else:
+                local = relabel(ch, {l: l - pos for l in ch.letters})
+                infos.append(list(_ref_full(ctx, local, chblocks, par,
+                                            memo).items()))
+            pos += a
+        sign = transpose_sign([[tree_degree(ch) for ch in t.children],
+                               letter_pars])
+        out = {}
+        for combo in itertools.product(*infos):
+            coeff = sign
+            for _, c in combo:
+                coeff *= c
+            words = tuple(w for (w, _) in combo)
+            for e, c2 in _ref_phi1(ctx, corolla(t.symbol), words, par,
+                                   memo).items():
+                vec_acc(out, e, coeff * c2)
+    memo[key] = out
+    return out
+
+
+def _ref_rank(ctx, t, blocks, r, par, memo):
+    key = ("rank", t, blocks, r)
+    if key in memo:
+        return memo[key]
+    if r == 0:
+        e = ctx.eps(t)
+        return {(): F(e)} if e and not any(blocks) else {}
+    if r == 1:
+        return {(e,): c
+                for e, c in _ref_phi1(ctx, t, blocks, par, memo).items()}
+    out = {}
+    for comps, c0 in ox._delta_iter(ctx, t, r).items():
+        comp_degs = [tree_degree(c) for c in comps]
+        for choice in itertools.product(*[ox._splits(b, r) for b in blocks]):
+            rows = []
+            for i in range(r):
+                row = _ref_phi1(ctx, comps[i],
+                                tuple(pieces[i] for pieces in choice), par,
+                                memo)
+                if not row:
+                    break
+                rows.append(row.items())
+            if len(rows) < r:
+                continue
+            sign = transpose_sign(
+                [comp_degs] + [[ox.word_parity(p, par) for p in pieces]
+                               for pieces in choice])
+            for picks in itertools.product(*rows):
+                c = c0 * sign
+                for (_, ci) in picks:
+                    c *= ci
+                vec_acc(out, tuple(e for (e, _) in picks), c)
+    memo[key] = out
+    return out
+
+
+def _ref_full(ctx, t, blocks, par, memo):
+    out = {}
+    for r in range(sum(len(b) for b in blocks) + 1):
+        for w, c in _ref_rank(ctx, t, blocks, r, par, memo).items():
+            vec_acc(out, w, c)
+    return out
+
+
+def _assert_reader_matches_reference(ctx, t, blocks, par, memos):
+    memo = memos.setdefault((ctx.name, tuple(sorted(par.items()))), {})
+    assert (ox.at_parities(ox.phi1_tree, ctx, t, blocks, par)
+            == _ref_phi1(ctx, t, blocks, par, memo)), (t, blocks, par)
+    for r in range(sum(len(b) for b in blocks) + 1):
+        assert (ox.at_parities(ox.phi_rank, ctx, t, blocks, par, r)
+                == _ref_rank(ctx, t, blocks, r, par, memo)), (t, blocks, r,
+                                                               par)
+
+
+def test_graded_reader_matches_sign_threaded_engine_on_letters():
+    memos = {}
+    for prof in ((1, 1, 1), (2, 1, 1)):
+        blocks = ox._letter_blocks(prof)
+        for cell in ah.decompose(3).cells:
+            for ps in itertools.product((0, 1), repeat=sum(prof)):
+                _assert_reader_matches_reference(
+                    ox.A_CONTEXT, cell, blocks, ox._parity_map(ps), memos)
+    blocks = ox._letter_blocks((1, 1, 1, 1))
+    for ps in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)):
+        for cell in ah.decompose(4).cells:
+            _assert_reader_matches_reference(
+                ox.A_CONTEXT, cell, blocks, ox._parity_map(ps), memos)
+
+
+def test_graded_reader_matches_sign_threaded_engine_on_atoms():
+    # expression atoms (a D_2 and a phi node, as the differential rule
+    # hands them over), repeated atoms and letters out of label order
+    x1, x2, x3, x4 = (Leaf(l) for l in range(1, 5))
+    d = Node(d_symbol(2), (x1, x2))
+    p = Node(phi_symbol("A", ah.point_cell(2), (1, 1)), (x3, x4))
+    cases = [((x2,), (x1,)), ((x3, x1), (x2,)), ((d,), (x3,)),
+             ((x3, d), (p,)), ((d, d), (x3,)), ((x4,), (d,), (x3,)),
+             ((p, x1), (x2,), (d,)), ((x3,), (x3, x1), (x2,))]
+    memos = {}
+    for blocks in cases:
+        for ps in itertools.product((0, 1), repeat=4):
+            par = ox._parity_map(ps)
+            for cell in ah.decompose(len(blocks)).cells:
+                _assert_reader_matches_reference(ox.A_CONTEXT, cell,
+                                                 blocks, par, memos)
+            _assert_reader_matches_reference(
+                ox.AS_CONTEXT, ox.one_tree(len(blocks)), blocks, par, memos)
 
 
 def test_higher_corestrictions_vanish_on_letters():
