@@ -231,9 +231,10 @@ def test_criterion_08_truncated_identities():
 
 
 def test_criterion_08_truncated_identities_cold(tmp_path):
-    # The corestriction memo is shared by every parity assignment, so the
-    # verdict is taken once more in a fresh interpreter, on empty memos,
-    # started as in test_cli_subprocess_byte_identical.
+    # The identities are checked once, on even letters, through the
+    # corestriction memo that the rest of the suite fills, so the verdict
+    # is taken once more in a fresh interpreter, on empty memos, started as
+    # in test_cli_subprocess_byte_identical.
     root = str(Path(ox.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     code = ("import json; from operadlab import ox_construction as ox; "

@@ -8,13 +8,19 @@ Each module of the package may import only the modules below it:
 `hochschild_lab` rests on `exact_chain` and `operad_core` alone, and
 `cli_report` sits on top of everything.  The imports are read from the
 source with `ast`, including imports inside functions.
+
+The span boundaries of the benchmark's tracer (`perfbench/tracing.py`)
+name functions and methods of these modules; they must keep resolving.
 """
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "operadlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "operadlab"
 
 CHAIN = ("exact_chain", "operad_core", "associahedra", "coalgebra_operad",
          "ox_construction")
@@ -58,3 +64,20 @@ def test_module_imports_only_lower_layers(module):
     got = package_imports(PACKAGE / f"{module}.py")
     assert got <= ALLOWED[module], \
         f"{module} imports {sorted(got - ALLOWED[module])} from above its layer"
+
+
+def test_perfbench_boundaries_resolve():
+    # load the tracer's source without installing it or registering it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.BOUNDARIES
+    for name, module, path in tracing.BOUNDARIES:
+        obj = importlib.import_module("operadlab." + module)
+        *owners, attr = path.split(".")
+        for part in owners:
+            obj = getattr(obj, part)
+        # a method is replaced on its own class, so it must be defined there
+        found = vars(obj).get(attr) if owners else getattr(obj, attr, None)
+        assert callable(found), (name, path)

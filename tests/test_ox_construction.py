@@ -8,7 +8,7 @@ from operadlab import associahedra as ah
 from operadlab import ox_construction as ox
 from operadlab.operad_core import (
     Leaf, Node, OperadElement, ShiftedElement, corolla, graft, relabel,
-    transpose_sign, tree_arity, tree_degree,
+    signed_shuffles, transpose_sign, tree_arity, tree_degree,
 )
 from operadlab.ox_construction import (
     OXError, arity2_homology, associativity_defect, bracket,
@@ -93,12 +93,11 @@ def test_commutator_rank2_vanishes():
     # the antisymmetrized binary operation has no higher corestriction on
     # single letters, for every parity assignment
     for p1, p2 in itertools.product((0, 1), repeat=2):
-        par = {1: p1, 2: p2}
         a = holie_vanishing(2, 2, (p1, p2))
         b = {}
         for t, c in ah.fundamental_class(2).terms.items():
             for w, c2 in ox.at_parities(ox.phi_rank, ox.A_CONTEXT, t,
-                                        ((Leaf(2),), (Leaf(1),)), par,
+                                        ((Leaf(2),), (Leaf(1),)), (p2, p1),
                                         2).items():
                 vec_acc(b, w, c * c2)
         comm = dict(a)
@@ -106,6 +105,31 @@ def test_commutator_rank2_vanishes():
         for w, c in b.items():
             vec_acc(comm, w, -sgn * c)
         assert not comm, (p1, p2)
+
+
+def test_parity_count_must_match_the_letters():
+    cell = ah.fundamental_class(3).sorted_terms()[0][0]
+    for p in ((1,), (0, 1), (0, 0, 0, 1)):
+        with pytest.raises(OXError):
+            expand_corestriction(cell, (1, 1, 1), 1, parities=p)
+    for p in ((0,) * 2, (0,) * 5):
+        with pytest.raises(OXError):
+            holie_vanishing(3, 2, p)
+
+
+# Parities of graded atoms as a letter -> parity map, the convention of the
+# parity-threaded references below.
+
+def _parity_map(parities):
+    return {i + 1: p % 2 for i, p in enumerate(parities)}
+
+
+def _expr_parity(x, par):
+    return (x.total_degree + sum(par[l] for l in x.letters)) % 2
+
+
+def _word_parity(w, par):
+    return sum(_expr_parity(x, par) for x in w) % 2
 
 
 # The sign-threaded engine that `at_parities` replaced, kept as the
@@ -137,7 +161,7 @@ def _ref_phi1(ctx, t, blocks, par, memo):
         for ch in t.children:
             a = tree_arity(ch)
             chblocks = blocks[pos:pos + a]
-            letter_pars.append(sum(ox.word_parity(b, par) for b in chblocks))
+            letter_pars.append(sum(_word_parity(b, par) for b in chblocks))
             if isinstance(ch, Leaf):
                 infos.append([(chblocks[0], F(1))])
             else:
@@ -185,7 +209,7 @@ def _ref_rank(ctx, t, blocks, r, par, memo):
             if len(rows) < r:
                 continue
             sign = transpose_sign(
-                [comp_degs] + [[ox.word_parity(p, par) for p in pieces]
+                [comp_degs] + [[_word_parity(p, par) for p in pieces]
                                for pieces in choice])
             for picks in itertools.product(*rows):
                 c = c0 * sign
@@ -206,10 +230,11 @@ def _ref_full(ctx, t, blocks, par, memo):
 
 def _assert_reader_matches_reference(ctx, t, blocks, par, memos):
     memo = memos.setdefault((ctx.name, tuple(sorted(par.items()))), {})
-    assert (ox.at_parities(ox.phi1_tree, ctx, t, blocks, par)
+    q = [_expr_parity(x, par) for b in blocks for x in b]
+    assert (ox.at_parities(ox.phi1_tree, ctx, t, blocks, q)
             == _ref_phi1(ctx, t, blocks, par, memo)), (t, blocks, par)
     for r in range(sum(len(b) for b in blocks) + 1):
-        assert (ox.at_parities(ox.phi_rank, ctx, t, blocks, par, r)
+        assert (ox.at_parities(ox.phi_rank, ctx, t, blocks, q, r)
                 == _ref_rank(ctx, t, blocks, r, par, memo)), (t, blocks, r,
                                                                par)
 
@@ -221,12 +246,12 @@ def test_graded_reader_matches_sign_threaded_engine_on_letters():
         for cell in ah.decompose(3).cells:
             for ps in itertools.product((0, 1), repeat=sum(prof)):
                 _assert_reader_matches_reference(
-                    ox.A_CONTEXT, cell, blocks, ox._parity_map(ps), memos)
+                    ox.A_CONTEXT, cell, blocks, _parity_map(ps), memos)
     blocks = ox._letter_blocks((1, 1, 1, 1))
     for ps in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0)):
         for cell in ah.decompose(4).cells:
             _assert_reader_matches_reference(
-                ox.A_CONTEXT, cell, blocks, ox._parity_map(ps), memos)
+                ox.A_CONTEXT, cell, blocks, _parity_map(ps), memos)
 
 
 def test_graded_reader_matches_sign_threaded_engine_on_atoms():
@@ -241,7 +266,7 @@ def test_graded_reader_matches_sign_threaded_engine_on_atoms():
     memos = {}
     for blocks in cases:
         for ps in itertools.product((0, 1), repeat=4):
-            par = ox._parity_map(ps)
+            par = _parity_map(ps)
             for cell in ah.decompose(len(blocks)).cells:
                 _assert_reader_matches_reference(ox.A_CONTEXT, cell,
                                                  blocks, par, memos)
@@ -465,15 +490,162 @@ def test_identities(k):
     assert report["differential_rule"], k
 
 
-def test_coproduct_rule_mixed_profiles():
+def _mixed_profiles():
     for n in (2, 3):
-        for cell in ah.decompose(n).cells:
-            for prof in itertools.product((1, 2), repeat=n):
-                if sum(prof) > 4:
-                    continue
-                for par in itertools.product((0, 1), repeat=sum(prof)):
-                    assert ox.check_coproduct_rule(cell, prof, par), \
-                        (cell, prof, par)
+        for prof in itertools.product((1, 2), repeat=n):
+            if sum(prof) <= 4:
+                yield prof
+
+
+def test_coproduct_rule_mixed_profiles():
+    for prof in _mixed_profiles():
+        for cell in ah.decompose(len(prof)).cells:
+            assert ox.check_coproduct_rule(cell, prof), (cell, prof)
+
+
+@pytest.mark.parametrize("name, rule, k", [
+    ("RULE_CHI_SIGN", "coproduct_rule", 2),
+    ("RULE_EPS_SIGN", "coproduct_rule", 2),
+    ("TRI_COMP_SIGN", "differential_rule", 3),
+    ("TRI_CUP_SIGN", "differential_rule", 2),
+    ("UNARY_D_SIGN", "differential_rule", 2),
+])
+def test_every_global_sign_can_fail_the_check(monkeypatch, name, rule, k):
+    monkeypatch.setattr(ox, name, -getattr(ox, name))
+    other = ({"coproduct_rule", "differential_rule"} - {rule}).pop()
+    assert check_Gg_and_tri(k) == {"arity": k, rule: False, other: True}
+
+
+# The parity-threaded sides that the even checks replaced, kept as the
+# reference for the graded conventions: the shuffles sign every word by its
+# letters' parities, t_chi signs the regrouping of the first/middle/last
+# pieces and chi (of operator degree `chi_opdeg`) moving past the firsts,
+# and an odd chi composed past odd letters flips its composition term.
+# The top-cell operations run on the sign-threaded engine above.
+
+def _ref_shuffle_many(words, par):
+    out = {(): F(1)}
+    for w in words:
+        nxt = {}
+        for acc_w, c in out.items():
+            for sign, word in signed_shuffles(
+                    acc_w, w, lambda x: _expr_parity(x, par)):
+                vec_acc(nxt, word, sign * c)
+        out = nxt
+    return out
+
+
+def _ref_t_chi(chi, chi_opdeg, words, par):
+    out = {}
+    for splits in itertools.product(*[list(ox._splits(w, 3))
+                                      for w in words]):
+        midval = chi(tuple(s[1] for s in splits))
+        if not midval:
+            continue
+        # regroup (f1 m1 l1 f2 m2 l2 ...) -> (f1..fn m1..mn l1..ln)
+        grid = [[_word_parity(x, par) for x in s] for s in splits]
+        sign = transpose_sign(grid)
+        if chi_opdeg % 2 and sum(g[0] for g in grid) % 2:
+            sign = -sign
+        fsh = _ref_shuffle_many([s[0] for s in splits], par)
+        lsh = _ref_shuffle_many([s[2] for s in splits], par)
+        for fw, fc in fsh.items():
+            for e, mc in midval.items():
+                for lw, lc in lsh.items():
+                    vec_acc(out, fw + (e,) + lw, sign * fc * mc * lc)
+    return out
+
+
+def _ref_phi_lower(i, blocks, par, memo):
+    blocks = tuple(tuple(b) for b in blocks)
+    if i == 1:
+        (w,) = blocks
+        if len(w) < 2:
+            return {}
+        return {Node(d_symbol(len(w)), w): F(ox.UNARY_D_SIGN)}
+    if i == 2 and not all(blocks):
+        return {}
+    out = {}
+    for t, c in ah.fundamental_class(i).terms.items():
+        for e, c2 in _ref_phi1(ox.A_CONTEXT, t, blocks, par, memo).items():
+            vec_acc(out, e, c * c2)
+    return out
+
+
+def _ref_coproduct_rhs(cell, profile, par, memo):
+    ctx = ox.A_CONTEXT
+    blocks = ox._letter_blocks(profile)
+
+    def chi(mids):
+        if sum(len(m) for m in mids) < 2:
+            return {}
+        return _ref_phi1(ctx, cell, mids, par, memo)
+
+    rhs = {}
+    for w, c in _ref_t_chi(chi, tree_degree(cell), blocks, par).items():
+        vec_acc(rhs, w, ox.RULE_CHI_SIGN * c)
+    e = ctx.eps(cell)
+    if e:
+        for w, c in _ref_shuffle_many(blocks, par).items():
+            vec_acc(rhs, w, ox.RULE_EPS_SIGN * e * c)
+    return ox.truncate_words(rhs, 1)
+
+
+def _ref_differential_rhs(k, par, memo):
+    letters = ox._letter_blocks((1,) * k)
+    rhs = {}
+    for r in range(1, k):
+        sign = ox.TRI_CUP_SIGN * (-1 if (r - 1) % 2 else 1)
+        for w, c in _ref_shuffle_many(letters[r - 1:r + 1], par).items():
+            blocks = letters[:r - 1] + (w,) + letters[r + 1:]
+            for e, c2 in _ref_phi_lower(k - 1, blocks, par, memo).items():
+                vec_acc(rhs, e, sign * c * c2)
+    for i in range(1, k + 1):
+        j = k + 1 - i
+
+        def chi(mids, j=j):
+            return _ref_phi_lower(j, mids, par, memo)
+
+        for l in range(1, i + 1):
+            ext = ox.TRI_COMP_SIGN * ah.insertion_sign(i, j, l)
+            if j % 2 and sum(par[x] for x in range(1, l)) % 2:
+                ext = -ext
+            tval = _ref_t_chi(chi, j % 2, letters[l - 1:l - 1 + j], par)
+            for w, c in tval.items():
+                blocks = letters[:l - 1] + (w,) + letters[l + j - 1:]
+                for e, c2 in _ref_phi_lower(i, blocks, par, memo).items():
+                    vec_acc(rhs, e, ext * c * c2)
+    return ox.truncate_exprs(rhs, 2)
+
+
+def _read(side, q):
+    """An even side on graded letters: one `koszul_sign` per term."""
+    return {x: c * ox.koszul_sign(x, q) for x, c in side.items()}
+
+
+def test_even_sides_read_as_the_graded_references():
+    # Read on graded letters, the even left sides are `at_parities` of
+    # `phi_full` and `evaluate` by definition; the reader tests above hold
+    # the engine to the sign-threaded reference.  Here the right sides are
+    # held to the parity-threaded ones: every cell of K(2)..K(4) on single
+    # letters, the mixed profiles, and the differential rule.
+    cases = [(cell, (1,) * k) for k in (2, 3, 4)
+             for cell in ah.decompose(k).cells]
+    cases += [(cell, prof) for prof in _mixed_profiles() if max(prof) > 1
+              for cell in ah.decompose(len(prof)).cells]
+    memos = {}
+    for cell, prof in cases:
+        _, rhs = ox._coproduct_sides(cell, prof)
+        for ps in itertools.product((0, 1), repeat=sum(prof)):
+            ref = _ref_coproduct_rhs(cell, prof, _parity_map(ps),
+                                     memos.setdefault(ps, {}))
+            assert _read(rhs, ps) == ref, (cell, prof, ps)
+    for k in (2, 3, 4):
+        _, rhs = ox._differential_sides(k)
+        for ps in itertools.product((0, 1), repeat=k):
+            ref = _ref_differential_rhs(k, _parity_map(ps),
+                                        memos.setdefault(ps, {}))
+            assert _read(rhs, ps) == ref, (k, ps)
 
 
 # ---------------------------------------------------------------------------
