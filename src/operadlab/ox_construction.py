@@ -198,17 +198,6 @@ def _splits(word, r: int):
         yield tuple(pieces)
 
 
-def _delta_iter(ctx, t, r: int) -> dict:
-    """Iterated coproduct of a cell: r components, as (Delta x id..) o .."""
-    if r == 1:
-        return {(t,): F1}
-    out = {}
-    for comps, c in _delta_iter(ctx, t, r - 1).items():
-        for (a, b), c2 in ctx.delta(comps[0]).items():
-            vec_acc(out, (a, b) + comps[1:], c * c2)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # corestriction expansion engine, on even atoms
 #
@@ -278,9 +267,17 @@ def phi1_tree(ctx, t, blocks) -> dict:
 def phi_rank(ctx, t, blocks, r: int) -> dict:
     """Rank-r corestriction of phi(t): word (length r) -> coefficient.
 
-    Rank r factors as r rank-1 pieces against the iterated coproduct of the
-    cell and ordered deconcatenations of every block.
+    Rank r >= 2 peels off one row: phi^1(a) on block prefixes, then
+    phi^(r-1)(b) on the suffixes, summed over the terms a (x) b of the cell
+    coproduct and the prefix/suffix cuts of every block (a cut with an
+    empty first row is skipped).  Unrolled, the r rows run against
+    (id (x) Delta) o ... o Delta, which is the iterated coproduct because
+    the cell coproducts are coassociative.
     """
+    if r < 0:
+        raise OXError("rank must be >= 0")
+    if len(blocks) != tree_arity(t):
+        raise OXError("block count must match the cell arity")
     if r == 0:
         if any(blocks):
             return {}
@@ -291,19 +288,19 @@ def phi_rank(ctx, t, blocks, r: int) -> dict:
     if r > sum(len(b) for b in blocks):
         return {}
 
+    heads = [[x[:k] for k in range(len(x) + 1)] for x in blocks]
+    tails = [[x[k:] for k in range(len(x) + 1)] for x in blocks]
     out = {}
-    for comps, c0 in _delta_iter(ctx, t, r).items():
-        for choice in itertools.product(*[_splits(b, r) for b in blocks]):
-            # choice[b][i] = the piece of block b handed to row i
-            rows = [phi1_tree(ctx, comps[i],
-                              tuple(pieces[i] for pieces in choice)).items()
-                    for i in range(r)]
-            for picks in itertools.product(*rows):
-                word = tuple(e for (e, _) in picks)
-                c = c0
-                for (_, ci) in picks:
-                    c *= ci
-                vec_acc(out, word, c)
+    for (a, b), c0 in ctx.delta(t).items():
+        for head, tail in zip(itertools.product(*heads),
+                              itertools.product(*tails)):
+            first = phi1_tree(ctx, a, head)
+            if not first:
+                continue
+            rest = phi_rank(ctx, b, tail, r - 1)
+            for e, c1 in first.items():
+                for w, c2 in rest.items():
+                    vec_acc(out, (e,) + w, c0 * c1 * c2)
     return out
 
 
@@ -802,8 +799,8 @@ def check_Gg_and_tri(k: int) -> dict:
     side is its even self read through the same per-term `koszul_sign`,
     so one comparison covers every parity assignment of the inputs.
     """
-    if not 2 <= k <= 4:
-        raise OXError("checked for 2 <= k <= 4")
+    if not 2 <= k <= 5:
+        raise OXError("checked for 2 <= k <= 5")
     coproduct_ok = all(check_coproduct_rule(cell, (1,) * k)
                        for cell in ah.decompose(k).cells)
     return {"arity": k, "coproduct_rule": coproduct_ok,

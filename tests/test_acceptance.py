@@ -223,11 +223,11 @@ def test_criterion_07_jacobi():
 
 def test_criterion_08_truncated_identities():
     ok = True
-    for k in (2, 3, 4):
+    for k in (2, 3, 4, 5):
         rep = ox.check_Gg_and_tri(k)
         ok &= rep["coproduct_rule"] and rep["differential_rule"]
     _report(8, ok, "coproduct rule mod weight 2 and differential rule "
-                   "mod weight 3, k<=4")
+                   "mod weight 3, k<=5")
 
 
 def test_criterion_08_truncated_identities_cold(tmp_path):
@@ -238,14 +238,14 @@ def test_criterion_08_truncated_identities_cold(tmp_path):
     root = str(Path(ox.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     code = ("import json; from operadlab import ox_construction as ox; "
-            "print(json.dumps([ox.check_Gg_and_tri(k) for k in (2, 3, 4)]))")
+            "print(json.dumps([ox.check_Gg_and_tri(k) for k in (2, 3, 4, 5)]))")
     p = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path))
     assert p.returncode == 0, p.stderr.decode(errors="replace")
     reps = json.loads(p.stdout)
-    ok = [r["arity"] for r in reps] == [2, 3, 4] and all(
+    ok = [r["arity"] for r in reps] == [2, 3, 4, 5] and all(
         r["coproduct_rule"] and r["differential_rule"] for r in reps)
-    _report(8, ok, "the same identities, k<=4, in a fresh interpreter")
+    _report(8, ok, "the same identities, k<=5, in a fresh interpreter")
 
 
 def test_criterion_09_antisymmetrized_family():

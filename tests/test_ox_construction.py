@@ -117,6 +117,17 @@ def test_parity_count_must_match_the_letters():
             holie_vanishing(3, 2, p)
 
 
+def test_rank_and_block_count_are_checked_at_every_rank():
+    with pytest.raises(OXError):
+        expand_corestriction(ah.point_cell(2), (1, 1), -1)
+    with pytest.raises(OXError):
+        holie_vanishing(3, -1, (0, 0, 0))
+    top3 = ah.fundamental_class(3).sorted_terms()[0][0]
+    for r in range(4):
+        with pytest.raises(OXError):
+            expand_corestriction(top3, (1, 1), r)
+
+
 # Parities of graded atoms as a letter -> parity map, the convention of the
 # parity-threaded references below.
 
@@ -138,7 +149,9 @@ def _word_parity(w, par):
 # past the earlier children's letters, and every rank-r split by the
 # regrouping of cell components and block pieces (worked out here only
 # once every row of the split is nonzero).  One memo per context and
-# parity assignment.
+# parity assignment.  Rank r keeps the r-fold algorithm: r rank-1 rows
+# against the r-fold iterated coproduct and the r-piece deconcatenations
+# of every block, so it also checks the engine's rank recursion.
 
 def _ref_phi1(ctx, t, blocks, par, memo):
     key = ("phi1", t, blocks)
@@ -184,6 +197,17 @@ def _ref_phi1(ctx, t, blocks, par, memo):
     return out
 
 
+def _delta_iter(ctx, t, r):
+    """Iterated coproduct of a cell: r components, as (Delta x id..) o .."""
+    if r == 1:
+        return {(t,): F(1)}
+    out = {}
+    for comps, c in _delta_iter(ctx, t, r - 1).items():
+        for (a, b), c2 in ctx.delta(comps[0]).items():
+            vec_acc(out, (a, b) + comps[1:], c * c2)
+    return out
+
+
 def _ref_rank(ctx, t, blocks, r, par, memo):
     key = ("rank", t, blocks, r)
     if key in memo:
@@ -195,7 +219,7 @@ def _ref_rank(ctx, t, blocks, r, par, memo):
         return {(e,): c
                 for e, c in _ref_phi1(ctx, t, blocks, par, memo).items()}
     out = {}
-    for comps, c0 in ox._delta_iter(ctx, t, r).items():
+    for comps, c0 in _delta_iter(ctx, t, r).items():
         comp_degs = [tree_degree(c) for c in comps]
         for choice in itertools.product(*[ox._splits(b, r) for b in blocks]):
             rows = []
@@ -252,6 +276,12 @@ def test_graded_reader_matches_sign_threaded_engine_on_letters():
         for cell in ah.decompose(4).cells:
             _assert_reader_matches_reference(
                 ox.A_CONTEXT, cell, blocks, _parity_map(ps), memos)
+    # the associative operad at deeper profiles: ranks up to 5
+    for n, prof in ((2, (2, 2)), (2, (1, 3)), (4, (2, 1, 1, 1))):
+        blocks = ox._letter_blocks(prof)
+        for ps in itertools.product((0, 1), repeat=sum(prof)):
+            _assert_reader_matches_reference(
+                ox.AS_CONTEXT, ox.one_tree(n), blocks, _parity_map(ps), memos)
 
 
 def test_graded_reader_matches_sign_threaded_engine_on_atoms():
@@ -483,11 +513,17 @@ def test_zero_has_no_weight():
 # ---------------------------------------------------------------------------
 # the truncated identities
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_identities(k):
     report = check_Gg_and_tri(k)
     assert report["coproduct_rule"], k
     assert report["differential_rule"], k
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_identities_outside_the_checked_arities_raise(k):
+    with pytest.raises(OXError):
+        check_Gg_and_tri(k)
 
 
 def _mixed_profiles():
