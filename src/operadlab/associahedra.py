@@ -28,10 +28,9 @@ is therefore defined whether or not `decompose` has enumerated its K(n).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .exact_chain import Complex, GradedMap, GradedSpace, vec_axpy
+from .exact_chain import Complex, GradedMap, GradedSpace, Scalar, vec_axpy
 from .operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
     format_tree, graft, leaf_labels, relabel, tree_arity, tree_degree,
@@ -82,9 +81,9 @@ def _el(tree, c=1) -> OperadElement:
 # ---------------------------------------------------------------------------
 # chain-level helpers
 
-def augmentation(e: OperadElement) -> Fraction:
+def augmentation(e: OperadElement) -> Scalar:
     """Sum of coefficients of dimension-0 cells."""
-    total = Fraction(0)
+    total = 0
     for t, c in e.terms.items():
         if tree_degree(t) == 0:
             total += c
@@ -239,9 +238,9 @@ def _delete_leaf(t, j: int) -> OperadElement:
                 if not is_cone(u.symbol):
                     if m == 2:
                         return OperadElement(tree_arity(others[0]),
-                                             {others[0]: Fraction(1)})
+                                             {others[0]: 1})
                     t2 = Node(apex_symbol(m - 1), others)
-                    return OperadElement(tree_arity(t2), {t2: Fraction(1)})
+                    return OperadElement(tree_arity(t2), {t2: 1})
                 base = u.symbol.payload
                 img = cone_chain_or_collapse(_delete_leaf(base, i + 1))
                 return OperadElement(tree_arity(u) - 1,

@@ -15,11 +15,10 @@ regrouping the per-vertex pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
-from .exact_chain import (GradedMap, GradedSpace, degree_add, vec_acc,
-                          vec_axpy, vec_clean)
+from .exact_chain import (GradedMap, GradedSpace, Scalar, degree_add,
+                          vec_acc, vec_axpy, vec_clean)
 # graft is kept for perfbench's test_alias_bindings_are_wrapped_and_counted
 from .operad_core import (Leaf, Node, OperadElement, corolla, graft,
                           replace_vertex, transpose_sign, tree_degree,
@@ -43,15 +42,15 @@ class DgCoalgebra:
         self.d = d
         self.delta = {l: vec_clean(col) for l, col in delta.items()
                       if vec_clean(col)}
-        self.counit = {l: Fraction(c) for l, c in counit.items() if c}
+        self.counit = {l: c for l, c in counit.items() if c}
         if check:
             self.validate()
 
     def delta_of(self, label) -> dict:
         return dict(self.delta.get(label, {}))
 
-    def eps_of(self, label) -> Fraction:
-        return self.counit.get(label, Fraction(0))
+    def eps_of(self, label) -> Scalar:
+        return self.counit.get(label, 0)
 
     def delta_chain(self, vec: Mapping) -> dict:
         out: dict = {}
@@ -59,9 +58,8 @@ class DgCoalgebra:
             vec_axpy(out, c, self.delta.get(l, {}))
         return out
 
-    def eps_chain(self, vec: Mapping) -> Fraction:
-        return sum((c * self.counit.get(l, Fraction(0))
-                    for l, c in vec.items()), Fraction(0))
+    def eps_chain(self, vec: Mapping) -> Scalar:
+        return sum(c * self.counit.get(l, 0) for l, c in vec.items())
 
     # validators ------------------------------------------------------------
 
@@ -82,13 +80,13 @@ class DgCoalgebra:
             left: dict = {}
             right: dict = {}
             for (a, b), c in self.delta.get(x, {}).items():
-                ea = self.counit.get(a, Fraction(0))
-                eb = self.counit.get(b, Fraction(0))
+                ea = self.counit.get(a, 0)
+                eb = self.counit.get(b, 0)
                 if ea:
                     vec_acc(left, b, c * ea)
                 if eb:
                     vec_acc(right, a, c * eb)
-            want = {x: Fraction(1)}
+            want = {x: 1}
             if left != want or right != want:
                 raise CoalgebraError(f"counit axiom fails at {x!r}")
 
@@ -153,8 +151,7 @@ def ground_coalgebra(label="1") -> DgCoalgebra:
     """The ground field as a coalgebra on one grouplike generator."""
     sp = GradedSpace((label,), {label: (0,)})
     d = GradedMap.zero(sp, sp, (1,))
-    return DgCoalgebra(sp, d, {label: {(label, label): Fraction(1)}},
-                       {label: Fraction(1)})
+    return DgCoalgebra(sp, d, {label: {(label, label): 1}}, {label: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,7 @@ def cone(a: DgCoalgebra) -> DgCoalgebra:
 
     entries = {l: a.d.column(l) for l in a.space.labels}
     for l in a.space.labels:
-        col = {l: Fraction(1)}
+        col = {l: 1}
         for m, c in a.d.column(l).items():
             vec_acc(col, _t(m), -c)
         vec_acc(col, APEX, -a.eps_of(l))
@@ -198,12 +195,12 @@ def cone(a: DgCoalgebra) -> DgCoalgebra:
     delta = {l: a.delta_of(l) for l in a.space.labels}
     for l in a.space.labels:
         col = {(_t(x), y): c for (x, y), c in a.delta_of(l).items()}
-        vec_acc(col, (APEX, _t(l)), Fraction(1))
+        vec_acc(col, (APEX, _t(l)), 1)
         delta[_t(l)] = col
-    delta[APEX] = {(APEX, APEX): Fraction(1)}
+    delta[APEX] = {(APEX, APEX): 1}
 
     counit = dict(a.counit)
-    counit[APEX] = Fraction(1)
+    counit[APEX] = 1
     return DgCoalgebra(sp, d, delta, counit)
 
 
@@ -222,7 +219,7 @@ def cone_map(phi: Mapping, a: DgCoalgebra, cone_b: DgCoalgebra,
     out = {l: dict(phi.get(l, {})) for l in a.space.labels}
     for l in a.space.labels:
         out[_t(l)] = {_t(m): c for m, c in phi.get(l, {}).items() if m in base}
-    out[APEX] = {APEX: Fraction(1)}
+    out[APEX] = {APEX: 1}
     return out
 
 
@@ -241,13 +238,13 @@ def _delta_gen(sym):
         return val
     n = sym.arity
     if not ah.is_cone(sym):
-        out = [(Fraction(1), sym, OperadElement.from_tree(corolla(sym)))]
+        out = [(1, sym, OperadElement.from_tree(corolla(sym)))]
     else:
         b = sym.payload
         out = []
         for (x, y), c in delta_cell(b).items():
             out.append((c, ah.cone_symbol(x), OperadElement.from_tree(y)))
-        out.append((Fraction(1), ah.apex_symbol(n),
+        out.append((1, ah.apex_symbol(n),
                     OperadElement.from_tree(corolla(sym))))
     _delta_gen_cache[sym] = out
     return out
@@ -259,7 +256,7 @@ def delta_cell(t) -> dict:
     if val is not None:
         return val
     if isinstance(t, Leaf):
-        out = {(t, t): Fraction(1)}
+        out = {(t, t): 1}
         _delta_cell_cache[t] = out
         return out
     verts = tree_vertices(t)
@@ -297,7 +294,7 @@ def delta_cell(t) -> dict:
         for c, g1, e2 in choice_lists[i]:
             walk(i + 1, coeff * c, firsts + [g1], seconds + [e2])
 
-    walk(0, Fraction(1), [], [])
+    walk(0, 1, [], [])
     _delta_cell_cache[t] = out
     return out
 
@@ -332,7 +329,7 @@ def build_A(max_arity: int) -> CoalgebraOperad:
     for n in range(0, max_arity + 1):
         cx = ah.decompose(n)
         delta = {t: delta_cell(t) for t in cx.space.labels}
-        counit = {t: Fraction(1) for t in cx.space.labels
+        counit = {t: 1 for t in cx.space.labels
                   if tree_degree(t) == 0}
         arities[n] = DgCoalgebra(cx.space, cx.d, delta, counit, check=False)
     return CoalgebraOperad(arities, ah.insert_chain, "A")
@@ -343,14 +340,14 @@ def as_operad(max_arity: int = 8) -> CoalgebraOperad:
     arities = {n: ground_coalgebra(("one", n)) for n in range(0, max_arity + 1)}
 
     def compose_fn(p, q, l, x, y):
-        cx = x.get(("one", p), Fraction(0))
-        cy = Fraction(1) if y is None else y.get(("one", q), Fraction(0))
+        cx = x.get(("one", p), 0)
+        cy = 1 if y is None else y.get(("one", q), 0)
         return {("one", p + q - 1): cx * cy}
 
     return CoalgebraOperad(arities, compose_fn, "As")
 
 
-def counit_morphism(e) -> Fraction:
+def counit_morphism(e) -> Scalar:
     """The operad morphism to the terminal operad: a chain goes to the sum
     of its vertex-cell coefficients."""
     if isinstance(e, OperadElement):
@@ -370,5 +367,5 @@ def coalgebra_of_boundary(n: int) -> DgCoalgebra:
                   {t: {s: c for s, c in ah.boundary(t).terms.items()}
                    for t in labels})
     delta = {t: delta_cell(t) for t in labels}
-    counit = {t: Fraction(1) for t in labels if tree_degree(t) == 0}
+    counit = {t: 1 for t in labels if tree_degree(t) == 0}
     return DgCoalgebra(sp, d, delta, counit, check=False)

@@ -1,8 +1,10 @@
 """Exact rational graded linear algebra: spaces, maps, complexes, homology.
 
-Everything is done over Fraction.  Vectors are sparse dicts mapping basis
-labels to nonzero rational coefficients.  Degrees are integer tuples; the
-first component is the cohomological degree and determines Koszul parity.
+Coefficients are exact rationals: a Python int while it is an integer, a
+Fraction only once a non-unit pivot has been divided by.  Vectors are sparse
+dicts mapping basis labels to nonzero coefficients.  Degrees are integer
+tuples; the first component is the cohomological degree and determines
+Koszul parity.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Scalar = Fraction
+Scalar = int | Fraction
 Degree = tuple  # tuple of ints
-Vector = dict   # label -> Fraction
+Vector = dict   # label -> Scalar
 
 
 class SpaceMismatch(Exception):
@@ -54,7 +56,6 @@ def vec_axpy(out: Vector, c, v: Mapping) -> None:
 
 
 def vec_scale(c, u: Vector) -> Vector:
-    c = Fraction(c)
     if not c:
         return {}
     return {k: c * v for k, v in u.items()}
@@ -156,7 +157,7 @@ class GradedMap:
     @classmethod
     def identity(cls, space):
         return cls(space, space, (0,) * len(next(iter(space.degrees.values()), (0,))),
-                   {l: {l: Fraction(1)} for l in space.labels}, check=False)
+                   {l: {l: 1} for l in space.labels}, check=False)
 
     def column(self, src) -> Vector:
         return dict(self.entries.get(src, {}))
@@ -240,13 +241,15 @@ class Echelon:
 
     def add(self, vec: Vector, tag=None):
         """Insert vec; return the reduced remainder, or None if dependent."""
-        combo = None if tag is None else {tag: Fraction(1)}
+        combo = None if tag is None else {tag: 1}
         red = self.reduce(vec, combo)
         if not red:
             self.relation = combo
             return None
         piv = min(red, key=self.index.__getitem__)
-        inv = Fraction(1) / red[piv]
+        lead = red[piv]
+        # 1/lead = lead for a unit, so integer rows stay integer
+        inv = lead if lead in (1, -1) else Fraction(1) / lead
         row = vec_scale(inv, red)
         if combo is not None:
             combo = vec_scale(inv, combo)
@@ -372,6 +375,6 @@ def quotient(space: GradedSpace, relations: Iterable):
             row = ech.rows[l]
             entries[l] = {k: -c for k, c in row.items() if k != l}
         else:
-            entries[l] = {l: Fraction(1)}
+            entries[l] = {l: 1}
     proj = GradedMap(space, qspace, zeros, entries, check=False)
     return qspace, proj

@@ -1179,7 +1179,8 @@ class SchoutenDualModel:
         return m
 
     def g2p(self, x):
-        return vec_clean({z: c / self._mult_factor(z) for z, c in x.items()})
+        return vec_clean({z: c / Fraction(self._mult_factor(z))
+                          for z, c in x.items()})
 
     def p2g(self, x):
         return vec_clean({z: c * self._mult_factor(z) for z, c in x.items()})

@@ -17,7 +17,6 @@ arguments.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
 
 from .exact_chain import vec_acc, vec_axpy
@@ -218,12 +217,12 @@ class OperadElement:
 
     def __init__(self, arity: int, terms: Optional[Mapping] = None):
         self.arity = arity
-        self.terms = {t: Fraction(c) for t, c in (terms or {}).items() if c}
+        self.terms = {t: c for t, c in (terms or {}).items() if c}
 
     @classmethod
     def from_tree(cls, t: Tree, coeff=1) -> "OperadElement":
         _check_labels(t)
-        return cls(tree_arity(t), {t: Fraction(coeff)})
+        return cls(tree_arity(t), {t: coeff})
 
     @classmethod
     def zero(cls, arity: int) -> "OperadElement":
@@ -231,7 +230,7 @@ class OperadElement:
 
     @classmethod
     def identity(cls) -> "OperadElement":
-        return cls(1, {IDENTITY_TREE: Fraction(1)})
+        return cls(1, {IDENTITY_TREE: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -250,7 +249,7 @@ class OperadElement:
         return OperadElement(self.arity, merged)
 
     def scale(self, c) -> "OperadElement":
-        return OperadElement(self.arity, {t: Fraction(c) * v for t, v in self.terms.items()})
+        return OperadElement(self.arity, {t: c * v for t, v in self.terms.items()})
 
     def sub(self, other):
         return self.add(other.scale(-1))

@@ -674,13 +674,14 @@ def t_chi(chi, words) -> dict:
     tuple of words to expression -> coeff.
     """
     words = tuple(tuple(w) for w in words)
+    shuffled = functools.cache(shuffle_many)   # splits share their pieces
     out = {}
     for splits in itertools.product(*[list(_splits(w, 3)) for w in words]):
         midval = chi(tuple(s[1] for s in splits))
         if not midval:
             continue
-        fsh = shuffle_many([s[0] for s in splits])
-        lsh = shuffle_many([s[2] for s in splits])
+        fsh = shuffled(tuple(s[0] for s in splits))
+        lsh = shuffled(tuple(s[2] for s in splits))
         for fw, fc in fsh.items():
             for e, mc in midval.items():
                 for lw, lc in lsh.items():

@@ -194,11 +194,19 @@ def test_difmu(k):
 
 
 def test_fundamental_class_is_sum_of_top_cells():
-    for k in (3, 4, 5):
+    for k in (2, 3, 4, 5):
         mu = fundamental_class(k)
         top = set(decompose(k).cells_of_dimension(k - 2))
         assert set(mu.terms) == top
-        assert all(c in (1, -1) for c in mu.terms.values())
+        assert all(type(c) is int and c in (1, -1) for c in mu.terms.values())
+
+
+def test_boundary_coefficients_are_integers():
+    # cellular chains are integral: no coefficient becomes a Fraction
+    for n in range(6):
+        d = decompose(n).complex.d
+        assert all(type(c) is int
+                   for col in d.entries.values() for c in col.values())
 
 
 def test_insert_errors():

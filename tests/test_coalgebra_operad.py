@@ -70,6 +70,12 @@ def test_cone_of_boundary_is_A(n):
         assert want_delta == delta_cell(fwd(l)), l
 
 
+def test_cell_coproducts_are_integer():
+    for n in (4, 5):
+        for t in ah.decompose(n).cells:
+            assert all(type(c) is int for c in delta_cell(t).values())
+
+
 def test_A3_edge_coproduct():
     # Delta(cone over a boundary vertex v) = (T v) ox v + apex ox (T v)
     cx = ah.decompose(3)

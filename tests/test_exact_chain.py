@@ -224,3 +224,52 @@ def test_tagged_dependent_vector_leaves_a_relation(case, coeffs):
     assert ech.add(combo, tag="new") is None
     assert ech.relation["new"] == 1
     assert _apply(ech.relation, vectors) == {}
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: int until a non-unit pivot is divided by
+
+def _values(*vectors):
+    return [c for v in vectors for c in v.values()]
+
+
+def test_unit_pivots_keep_rows_and_relations_integer():
+    index = {l: i for i, l in enumerate("abc")}
+    ech = Echelon(index)
+    cols = [{"a": 1, "b": -1}, {"a": -1, "c": 2}, {"b": 1, "c": -2}]
+    assert ech.add(cols[0], tag=0) is not None
+    assert ech.add(cols[1], tag=1) is not None   # pivot b, coefficient -1
+    assert ech.add(cols[2], tag=2) is None
+    assert ech.rows == {"a": {"a": 1, "c": -2}, "b": {"b": 1, "c": -2}}
+    assert ech.relation == {0: 1, 1: 1, 2: 1}
+    values = _values(*ech.rows.values(), *ech.combos.values(), ech.relation)
+    assert {type(c) for c in values} == {int}
+
+
+def test_non_unit_pivot_gives_exact_fraction_rows():
+    ech = Echelon({"a": 0, "b": 1})
+    ech.add({"a": 2, "b": 1}, tag="x")
+    assert ech.rows == {"a": {"a": 1, "b": Fraction(1, 2)}}
+    assert ech.combos == {"a": {"x": Fraction(1, 2)}}
+    values = _values(*ech.rows.values(), *ech.combos.values())
+    assert {type(c) for c in values} == {Fraction}
+
+
+@given(sparse_columns())
+def test_integer_and_fraction_columns_give_the_same_vectors(case):
+    cols, index = case
+    int_cols = [{k: int(v) for k, v in col.items()} for col in cols]
+    sources = list(range(len(cols)))
+    kernels = [kernel_basis(dict(enumerate(c)), sources, index)
+               for c in (cols, int_cols)]
+    assert kernels[0] == kernels[1]
+    # the same map as a complex: sources in degree 0, targets in degree 1
+    sp = GradedSpace([*sources, *index],
+                     {**{s: 0 for s in sources}, **{t: 1 for t in index}})
+    homs = [[Complex(sp, GradedMap(sp, sp, (1,), dict(enumerate(c))))
+             .homology(n) for n in (0, 1)] for c in (cols, int_cols)]
+    assert homs[0] == homs[1]
+    ech = span(int_cols, index)
+    values = _values(*ech.rows.values(), *kernels[1],
+                     *(z for _, reps in homs[1] for z in reps))
+    assert all(type(c) in (int, Fraction) for c in values)
