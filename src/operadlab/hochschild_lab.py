@@ -29,14 +29,18 @@ The module has three layers.
    representatives, and the induced differential on that page is compared
    with the de Rham differential.
 
-All linear algebra is exact over the rationals.
+All linear algebra is exact over the rationals.  Coefficients stay ints
+while they are integers; a Fraction appears only after a real division (a
+non-unit Echelon pivot, or the repeated-word factor in
+SchoutenDualModel.g2p), and scalars entering the cochain layer must be
+int or Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial as _factorial
+from math import factorial as _factorial, prod
 
 from .exact_chain import (
     Complex, Echelon, GradedMap, GradedSpace, kernel_basis, span, vec_acc,
@@ -44,11 +48,21 @@ from .exact_chain import (
 )
 from .operad_core import parity_sign, signed_shuffles
 
-F = Fraction
-
 
 class HochschildError(Exception):
     pass
+
+
+def _scalar(c):
+    """c itself, once checked to be exact (an int or a Fraction)."""
+    if not isinstance(c, (int, Fraction)):
+        raise HochschildError(f"coefficient {c!r} is not an int or Fraction")
+    return c
+
+
+def _exact(col):
+    """A copy of the coordinate vector col without zeros, checked exact."""
+    return {k: c for k, c in col.items() if _scalar(c)}
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +88,8 @@ class Algebra:
         self.mult = {}
         for i in range(self.dim):
             for j in range(self.dim):
-                self.mult[(i, j)] = vec_clean(dict(mult.get((i, j), {})))
-        self.unit = vec_clean(dict(unit))
+                self.mult[(i, j)] = _exact(mult.get((i, j), {}))
+        self.unit = _exact(unit)
         self._validate()
 
     # -- structure ---------------------------------------------------------
@@ -95,13 +109,13 @@ class Algebra:
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
-                    lhs = self.product(self.mult[(i, j)], {k: F(1)})
-                    rhs = self.product({i: F(1)}, self.mult[(j, k)])
+                    lhs = self.product(self.mult[(i, j)], {k: 1})
+                    rhs = self.product({i: 1}, self.mult[(j, k)])
                     if lhs != rhs:
                         raise HochschildError(
                             f"associativity fails at ({i},{j},{k})")
         for i in range(self.dim):
-            e = {i: F(1)}
+            e = {i: 1}
             if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
                 raise HochschildError(f"unit law fails at {i}")
 
@@ -114,9 +128,9 @@ def truncated_polynomial_algebra(n: int) -> Algebra:
     """Q[x]/(x^n), the symmetric algebra on one even generator truncated
     at polynomial degree n - 1."""
     labels = [f"x^{a}" for a in range(n)]
-    mult = {(i, j): ({i + j: F(1)} if i + j < n else {})
+    mult = {(i, j): ({i + j: 1} if i + j < n else {})
             for i in range(n) for j in range(n)}
-    return Algebra(labels, [0] * n, mult, {0: F(1)})
+    return Algebra(labels, [0] * n, mult, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +158,7 @@ class Cochain:
         for args, col in values.items():
             if len(args) != arity:
                 raise HochschildError("argument tuple of wrong length")
-            col = vec_clean(dict(col))
+            col = _exact(col)
             if col:
                 vals[tuple(args)] = col
         self.values = vals
@@ -162,7 +176,7 @@ class Cochain:
             col = self.values.get(args)
             if not col:
                 continue
-            c = F(1)
+            c = 1
             for v, i in zip(vectors, args):
                 c *= v[i]
             if c:
@@ -180,8 +194,9 @@ class Cochain:
         raise TypeError("cochains are not hashable")
 
     def scale(self, c) -> "Cochain":
+        _scalar(c)
         return Cochain(self.algebra, self.arity,
-                       {a: vec_scale(F(c), col)
+                       {a: vec_scale(c, col)
                         for a, col in self.values.items()})
 
     def add(self, other: "Cochain") -> "Cochain":
@@ -208,7 +223,7 @@ def zero_cochain(algebra: Algebra, arity: int) -> Cochain:
 
 def identity_cochain(algebra: Algebra) -> Cochain:
     return Cochain(algebra, 1,
-                   {(i,): {i: F(1)} for i in range(algebra.dim)})
+                   {(i,): {i: 1} for i in range(algebra.dim)})
 
 
 def multiplication_cochain(algebra: Algebra) -> Cochain:
@@ -219,7 +234,7 @@ def multiplication_cochain(algebra: Algebra) -> Cochain:
 
 
 def basis_cochain(algebra: Algebra, args, out) -> Cochain:
-    return Cochain(algebra, len(args), {tuple(args): {out: F(1)}})
+    return Cochain(algebra, len(args), {tuple(args): {out: 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +253,10 @@ def hochschild_d(c: Cochain) -> Cochain:
 
     def acc(args, col, s):
         if col:
-            vec_axpy(vals.setdefault(tuple(args), {}), F(s), col)
+            vec_axpy(vals.setdefault(tuple(args), {}), s, col)
 
     for args in itertools.product(range(alg.dim), repeat=n + 1):
-        basis = [{i: F(1)} for i in args]
+        basis = [{i: 1} for i in args]
         acc(args, alg.product(basis[0], c(*basis[1:])), 1)
         for i in range(n):
             merged = alg.mult[(args[i], args[i + 1])]
@@ -292,10 +307,10 @@ def brace(x: Cochain, ys) -> Cochain:
         offset = 0
         for j, y in enumerate(ys):
             pos = slots[j] - 1 + offset
-            sign *= (-1) ** (y.sdeg * pos)
+            sign *= (-1) ** (y.sdeg * pos % 2)
             offset += y.arity - 1
         for args in itertools.product(range(alg.dim), repeat=total):
-            basis = [{i: F(1)} for i in args]
+            basis = [{i: 1} for i in args]
             # split final arguments into x-arguments, applying the y's
             xargs = []
             p = 0
@@ -312,13 +327,13 @@ def brace(x: Cochain, ys) -> Cochain:
                     p += 1
             col = x(*xargs)
             if col:
-                vec_axpy(vals.setdefault(tuple(args), {}), F(sign), col)
+                vec_axpy(vals.setdefault(tuple(args), {}), sign, col)
     return Cochain(alg, total, vals)
 
 
 def gerstenhaber_bracket(x: Cochain, y: Cochain) -> Cochain:
     """[x, y] = x{y} - (-1)^{|x||y|} y{x} with shifted degrees."""
-    s = (-1) ** (x.sdeg * y.sdeg)
+    s = (-1) ** (x.sdeg * y.sdeg % 2)
     return brace(x, [y]).sub(brace(y, [x]).scale(s))
 
 
@@ -404,18 +419,18 @@ class CochainWordSum:
 
     def __init__(self, algebra: Algebra, terms=()):
         self.algebra = algebra
-        self.terms = []  # (Fraction, tuple of Cochain)
+        self.terms = []  # (coefficient, tuple of Cochain)
         for c, word in terms:
-            c = F(c)
-            if c and not any(x.is_zero() for x in word):
+            if _scalar(c) and not any(x.is_zero() for x in word):
                 self.terms.append((c, tuple(word)))
 
     def __add__(self, other):
         return CochainWordSum(self.algebra, self.terms + other.terms)
 
     def scale(self, c):
+        _scalar(c)
         return CochainWordSum(self.algebra,
-                              [(F(c) * a, w) for a, w in self.terms])
+                              [(c * a, w) for a, w in self.terms])
 
     def is_zero(self) -> bool:
         """Exact zero test, one tensor factor at a time.
@@ -540,7 +555,7 @@ def coalgebra_product(xs, ys) -> CochainWordSum:
                 block = sum(y.sdeg for y in ys[b:c])
                 pairs = sum(ys[s].sdeg * ys[t].sdeg
                             for s in range(b, c) for t in range(s + 1, c))
-                sign *= (-1) ** (xs[j].sdeg * block + pairs)
+                sign *= (-1) ** ((xs[j].sdeg * block + pairs) % 2)
                 word.append(brace(xs[j], ys[b:c]))
         terms.append((sign, tuple(word)))
     return CochainWordSum(alg, terms)
@@ -563,7 +578,7 @@ def binfty_on_cochains(algebra: Algebra, max_length: int = 4,
     def random_cochain(arity):
         vals = {}
         for args in itertools.product(range(dim), repeat=arity):
-            col = {k: F(rng.randint(-2, 2)) for k in range(dim)}
+            col = {k: rng.randint(-2, 2) for k in range(dim)}
             col = vec_clean(col)
             if col:
                 vals[args] = col
@@ -657,7 +672,7 @@ def shuffle_relation(w, cut, parity):
     """The signed shuffle of the two pieces of w cut at position `cut`."""
     rel = {}
     for sg, sw in signed_shuffles(w[:cut], w[cut:], parity):
-        vec_acc(rel, sw, Fraction(sg))
+        vec_acc(rel, sw, sg)
     return rel
 
 
@@ -693,10 +708,10 @@ def _harrison_boundary_raw(word, c):
     out = {}
     for i in range(k - 1):
         merged = word[:i] + (word[i] + word[i + 1],) + word[i + 2:]
-        vec_acc(out, (merged, c), Fraction((-1) ** i))
+        vec_acc(out, (merged, c), (-1) ** i)
     if k >= 1:
-        vec_acc(out, (word[:-1], word[-1] + c), Fraction((-1) ** (k - 1)))
-        vec_acc(out, (word[1:], word[0] + c), Fraction(-1))
+        vec_acc(out, (word[:-1], word[-1] + c), (-1) ** (k - 1))
+        vec_acc(out, (word[1:], word[0] + c), -1)
     return out
 
 
@@ -726,7 +741,7 @@ def harrison_weight_complex(weight):
             if kk == 0:
                 continue  # the k=1 piece has no word left to carry
             _, ech = blocks[(kk, sum(rw))]
-            for bw, bc in ech.reduce({rw: Fraction(coeff)}).items():
+            for bw, bc in ech.reduce({rw: coeff}).items():
                 vec_acc(col, (bw, rc), bc)
         if col:
             entries[(w, c)] = col
@@ -802,7 +817,7 @@ def harrison_boundary_descends(weight):
                                 continue
                             _, mech = blocks[(len(mw), sum(mw))]
                             for bw, bc in mech.reduce(
-                                    {mw: Fraction(coeff) * mcoeff}).items():
+                                    {mw: coeff * mcoeff}).items():
                                 vec_acc(acc, (bw, mc), bc)
                     if acc:
                         return False
@@ -872,11 +887,11 @@ class SchoutenTruncation:
         if a[1] == 1 and b[0] > 0:
             m = (a[0] + b[0] - 1, b[1])
             if self.weight(m) <= self.cap:
-                vec_acc(out, m, Fraction(b[0]))
+                vec_acc(out, m, b[0])
         if a[0] > 0 and b[1] == 1:
             m = (a[0] - 1 + b[0], a[1])
             if self.weight(m) <= self.cap:
-                vec_acc(out, m, Fraction(-a[0]))
+                vec_acc(out, m, -a[0])
         return out
 
     # -- words modulo signed shuffles --------------------------------------
@@ -908,7 +923,7 @@ class SchoutenTruncation:
 
     def reduce_word(self, w):
         _, ech = self.word_block(len(w))
-        return ech.reduce({w: Fraction(1)})
+        return ech.reduce({w: 1})
 
     # -- basis of P --------------------------------------------------------
     def p_basis(self):
@@ -1017,7 +1032,7 @@ def schouten_d_product(ctx, z):
             pfx = sum(ctx.par(l) for l in w[:j + 1])
             neww = w[:j] + (mm,) + w[j + 2:]
             rest = [z[r] for r in range(N) if r != i]
-            c = Fraction(esign * (-1) ** pfx)
+            c = esign * (-1) ** pfx
             vec_axpy(out, 1, ctx.normalize([neww] + rest, c))
     return out
 
@@ -1057,7 +1072,7 @@ def schouten_d_bracket(ctx, z):
                                                           ctx.par):
                             for v, cv in br.items():
                                 neww = shpre + (v,) + shpost
-                                c = Fraction(esign * s0 * s1 * s2) * cv
+                                c = esign * s0 * s1 * s2 * cv
                                 vec_axpy(out, 1,
                                          ctx.normalize([neww] + rest, c))
     return out
@@ -1070,7 +1085,7 @@ def product_corestriction(ctx, z):
         l1, l2 = z[0]
         pr = ctx.prod(l1, l2)
         if pr is not None:
-            return {pr[1]: Fraction((-1) ** ctx.par(l1))}
+            return {pr[1]: (-1) ** ctx.par(l1)}
     return {}
 
 
@@ -1081,8 +1096,7 @@ def bracket_corestriction(ctx, z):
         a, b = z[0][0], z[1][0]
         br = ctx.bracket(a, b)
         if br:
-            s = Fraction((-1) ** ctx.par(a))
-            return vec_clean({u: s * c for u, c in br.items()})
+            return vec_scale((-1) ** ctx.par(a), br)
     return {}
 
 
@@ -1131,7 +1145,7 @@ class SchoutenDualModel:
                 for b, cb in right.items():
                     c = ca * cb
                     vec_acc(out, (a, b), c)
-                    sg = Fraction(-(-1) ** ((self.q(a) + 1) * (self.q(b) + 1)))
+                    sg = -(-1) ** ((self.q(a) + 1) * (self.q(b) + 1))
                     vec_acc(out, (b, a), sg * c)
         return out
 
@@ -1164,23 +1178,21 @@ class SchoutenDualModel:
                 if r is None:
                     continue
                 s, z = r
-                vec_acc(out, z, Fraction(s) * c1 * c2)
+                vec_acc(out, z, s * c1 * c2)
         return out
 
     @staticmethod
     def _mult_factor(z):
-        m, i = 1, 0
-        while i < len(z):
-            j = i
-            while j < len(z) and z[j] == z[i]:
-                j += 1
-            m *= _factorial(j - i)
-            i = j
-        return m
+        """Product of the factorials of the multiplicities in sorted z."""
+        return prod(_factorial(len(list(run)))
+                    for _, run in itertools.groupby(z))
 
     def g2p(self, x):
-        return vec_clean({z: c / Fraction(self._mult_factor(z))
-                          for z, c in x.items()})
+        out = {}
+        for z, c in x.items():
+            m = self._mult_factor(z)
+            out[z] = c if m == 1 else c * Fraction(1, m)
+        return vec_clean(out)
 
     def p2g(self, x):
         return vec_clean({z: c * self._mult_factor(z) for z, c in x.items()})
@@ -1198,7 +1210,7 @@ class SchoutenDualModel:
                     if r is None:
                         continue
                     s, zz = r
-                    vec_acc(out, zz, Fraction(s * (-1) ** (koz % 2)) * c * c2)
+                    vec_acc(out, zz, s * (-1) ** (koz % 2) * c * c2)
         return out
 
     def brFlip(self, b, x):
@@ -1213,7 +1225,7 @@ class SchoutenDualModel:
                     if r is None:
                         continue
                     s, zz = r
-                    vec_acc(out, zz, Fraction(s * (-1) ** (koz % 2)) * c * c2)
+                    vec_acc(out, zz, s * (-1) ** (koz % 2) * c * c2)
         return out
 
     # -- rewriting word duals as left-normed brackets of generators --------
@@ -1221,8 +1233,8 @@ class SchoutenDualModel:
         ctx = self.ctx
         gens = list(ctx.monos)
         for g in gens:
-            self._rw[(g,)] = [(Fraction(1), (g,))]
-        prev = {(g,): {(g,): Fraction(1)} for g in gens}
+            self._rw[(g,)] = [(1, (g,))]
+        prev = {(g,): {(g,): 1} for g in gens}
         for k in range(2, ctx.lcap + 1):
             cur = {}
             for seq, el in prev.items():
@@ -1239,14 +1251,14 @@ class SchoutenDualModel:
             for w in basis:
                 # a word may equal a bracket sequence as a tuple, so it is
                 # tagged by a sentinel of its own
-                if ech.add({w: Fraction(1)}, tag=_REWRITTEN) is not None:
+                if ech.add({w: 1}, tag=_REWRITTEN) is not None:
                     raise HochschildError(
                         f"left-normed brackets do not span word {w}")
                 self._rw[w] = [(-c, s) for s, c in ech.relation.items()
                                if s is not _REWRITTEN]
 
     def _ln_el(self, seq):
-        el = {(seq[0],): Fraction(1)}
+        el = {(seq[0],): 1}
         for l in seq[1:]:
             nel = {}
             for w, c in el.items():
@@ -1262,11 +1274,10 @@ class SchoutenDualModel:
         g = (seq[-1],)
         el = self._ln_el(pre)
         qpre = (sum(self.q((l,)) for l in pre) + len(pre) - 1) % 2
-        t1 = self.brP_w(self._phi_ln(pre, gv, pphi), g)
-        out = dict(t1)
+        out = self.brP_w(self._phi_ln(pre, gv, pphi), g)
         gvg = gv.get(seq[-1])
         if gvg:
-            sg = Fraction((-1) ** ((pphi * (qpre + 1)) % 2))
+            sg = (-1) ** ((pphi * (qpre + 1)) % 2)
             for w, c in el.items():
                 vec_axpy(out, sg * c, self.brFlip(w, gvg))
         return out
@@ -1284,9 +1295,8 @@ class SchoutenDualModel:
             for i, w in enumerate(z):
                 koz = sum(self.q(z[r]) for r in range(i)) * pphi
                 fw = self.phi_word(w, gv, pphi)
-                t = self.mulP(self.mulP({tuple(z[:i]): Fraction(1)}, fw),
-                              {tuple(z[i + 1:]): Fraction(1)})
-                vec_axpy(out, Fraction((-1) ** (koz % 2)) * c, t)
+                t = self.mulP(self.mulP({z[:i]: 1}, fw), {z[i + 1:]: 1})
+                vec_axpy(out, (-1) ** (koz % 2) * c, t)
         return out
 
     # -- transposes ---------------------------------------------------------
@@ -1326,21 +1336,28 @@ def hom_differential(model, T, f, parity):
     Computed on the dual side: generator values of [T, Phi_f].  Returns a
     functional dict z -> {letter: coeff} of parity parity+1.
     """
+    if any(functional_parity(model, z, v) != parity % 2
+           for z, col in f.items() for v in col):
+        raise HochschildError(f"f is not homogeneous of parity {parity % 2}")
     gv = model.func_to_gens(f)
     out = {}
-    sg = Fraction((-1) ** parity)
+    sg = (-1) ** parity
     for m in model.ctx.monos:
         zv = ((m,),)
-        t1 = model.apply_T(T, model.p2g(model.phi({zv: Fraction(1)},
-                                                  gv, parity)))
+        G = model.apply_T(T, model.p2g(model.phi({zv: 1}, gv, parity)))
         col = T.get(zv)
-        t2 = model.p2g(model.phi(model.g2p(dict(col)), gv, parity)) \
-            if col else {}
-        G = dict(t1)
-        vec_axpy(G, -sg, t2)
+        if col:
+            vec_axpy(G, -sg, model.p2g(model.phi(model.g2p(col), gv, parity)))
         for z, c in G.items():
             vec_acc(out.setdefault(z, {}), m, c)
     return out
+
+
+def _hom(model, T, f):
+    """hom_differential of a nonzero f at the parity of its first entry."""
+    z, col = next(iter(f.items()))
+    return hom_differential(model, T, f,
+                            functional_parity(model, z, next(iter(col))))
 
 
 def extension_report(weight_cap=3, letter_cap=3):
@@ -1358,34 +1375,24 @@ def extension_report(weight_cap=3, letter_cap=3):
     dm = lambda z: schouten_d_product(ctx, z)
     dbr = lambda z: schouten_d_bracket(ctx, z)
 
-    def opsq(op1, op2):
-        bad = 0
+    def bad(*pairs):
+        """Basis elements on which the sum of the composites is nonzero."""
+        n = 0
         for z in P:
             acc = {}
-            for z1, c in op1(z).items():
-                vec_axpy(acc, c, op2(z1))
-            if acc:
-                bad += 1
-        return bad
-
-    def anti():
-        bad = 0
-        for z in P:
-            acc = {}
-            for first, second in ((dm, dbr), (dbr, dm)):
+            for first, second in pairs:
                 for z1, c in first(z).items():
                     vec_axpy(acc, c, second(z1))
-            if acc:
-                bad += 1
-        return bad
+            n += bool(acc)
+        return n
 
     Tm = model.transpose(dm)
     Tb = model.transpose(dbr)
     report = {
         "basis_size": len(P),
-        "d_product_squares_to_zero": opsq(dm, dm) == 0,
-        "d_bracket_squares_to_zero": opsq(dbr, dbr) == 0,
-        "anticommute": anti() == 0,
+        "d_product_squares_to_zero": bad((dm, dm)) == 0,
+        "d_bracket_squares_to_zero": bad((dbr, dbr)) == 0,
+        "anticommute": bad((dm, dbr), (dbr, dm)) == 0,
     }
     for name, cor, T in (
             ("product", product_corestriction, Tm),
@@ -1398,8 +1405,8 @@ def extension_report(weight_cap=3, letter_cap=3):
         gv = model.func_to_gens(f)
         bad = 0
         for z in P:
-            got = model.p2g(model.phi(model.g2p({z: Fraction(1)}), gv, 1))
-            want = model.apply_T(T, {z: Fraction(1)})
+            got = model.p2g(model.phi(model.g2p({z: 1}), gv, 1))
+            want = model.apply_T(T, {z: 1})
             vec_axpy(got, -1, want)
             if got:
                 bad += 1
@@ -1455,7 +1462,7 @@ def e1_representative(ctx, v, a, b):
         col = {}
         assigns = [None] if b == 0 else list(range(k))
         for ix in assigns:
-            coeff = Fraction(1)
+            coeff = 1
             Ptot, Etot = v
             sgn = 1
             ok = True
@@ -1476,7 +1483,7 @@ def e1_representative(ctx, v, a, b):
                     Etot += e
             if not ok or Etot > 1 or Ptot + Etot > ctx.cap:
                 continue
-            vec_acc(col, (Ptot, Etot), Fraction(sgn) * coeff)
+            vec_acc(col, (Ptot, Etot), sgn * coeff)
         if col:
             out[z] = col
     return out
@@ -1484,11 +1491,8 @@ def e1_representative(ctx, v, a, b):
 
 def _functional_vector(f):
     """Flatten a functional dict to a vector over (z, v) labels."""
-    vec = {}
-    for z, col in f.items():
-        for v, c in col.items():
-            vec[(z, v)] = c
-    return vec_clean(vec)
+    return vec_clean({(z, v): c for z, col in f.items()
+                      for v, c in col.items()})
 
 
 def obstruction_E1(weight_cap, generators=2, max_columns=2):
@@ -1510,14 +1514,6 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
     ctx = SchoutenTruncation(internal_cap, lcap, generators=generators)
     model = SchoutenDualModel(ctx)
     Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
-
-    def hom_dm(f):
-        if not f:
-            return {}
-        z0, col0 = next(iter(f.items()))
-        par = functional_parity(model, z0, next(iter(col0)))
-        return hom_differential(model, Tm, f, par)
-
     report = {"weight_cap": weight_cap, "generators": generators,
               "columns": {}}
     hom_cache = {}
@@ -1525,7 +1521,7 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
     def dm_column(z, v):
         if (z, v) not in hom_cache:
             hom_cache[(z, v)] = _functional_vector(
-                hom_dm({z: {v: Fraction(1)}}))
+                _hom(model, Tm, {z: {v: 1}}))
         return hom_cache[(z, v)]
 
     for k in range(1, max_columns + 1):
@@ -1558,7 +1554,7 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
                         rep = e1_representative(ctx, v, k - bb, bb)
                         if rep:
                             reps.append(((v, k - bb, bb), rep))
-            reps_closed = all(not hom_dm(rep) for _, rep in reps)
+            reps_closed = all(not _hom(model, Tm, rep) for _, rep in reps)
             ech = span((_functional_vector(rep) for _, rep in reps),
                        {lab: i for i, lab in enumerate(sources)})
             indep = ech.rank
@@ -1613,9 +1609,9 @@ def _de_rham_model(v, a, b):
     p, e = v
     out = {}
     if e == 1:
-        out[((p, 0), a + 1, b)] = Fraction((-1) ** b * (a + 1))
+        out[((p, 0), a + 1, b)] = (-1) ** b * (a + 1)
     if p >= 1 and b == 0:
-        vec_acc(out, ((p - 1, e), a, 1), Fraction(-p))
+        vec_acc(out, ((p - 1, e), a, 1), -p)
     return out
 
 
@@ -1640,11 +1636,6 @@ def obstruction_bracket_action(weight_cap, max_columns=2):
     Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
     Tb = model.transpose(lambda z: schouten_d_bracket(ctx, z))
 
-    def hom(T, f):
-        z0, col0 = next(iter(f.items()))
-        par = functional_parity(model, z0, next(iter(col0)))
-        return hom_differential(model, T, f, par)
-
     def interior(vec, wlim):
         return vec_clean({(z, v): c for (z, v), c in vec.items()
                           if ctx.z_weight(z) <= wlim})
@@ -1663,8 +1654,8 @@ def obstruction_bracket_action(weight_cap, max_columns=2):
                 if not rep:
                     continue
                 wlim = internal_cap - max(ctx.weight(v) - k, 0) - 1
-                g = hom(Tb, rep)
-                residual = _functional_vector(hom(Tm, g)) if g else {}
+                g = _hom(model, Tb, rep)
+                residual = _functional_vector(_hom(model, Tm, g)) if g else {}
                 boundary_only = not interior(residual, wlim)
                 want = {}
                 for lab, c in _de_rham_model(v, a, b).items():
@@ -1744,7 +1735,7 @@ def _derivation_cochain(alg, a):
     vals = {}
     for k in range(n):
         if k and k + a - 1 < n:
-            vals[(k,)] = {k + a - 1: Fraction(k)}
+            vals[(k,)] = {k + a - 1: k}
     return Cochain(alg, 1, vals)
 
 
@@ -1764,7 +1755,7 @@ def schouten_comparison(truncation=3):
     n = truncation + 1
     alg = truncated_polynomial_algebra(n)
     ders = {a: _derivation_cochain(alg, a) for a in range(1, n)}
-    pts = {b: Cochain(alg, 0, {(): {b: Fraction(1)}}) for b in range(n)}
+    pts = {b: Cochain(alg, 0, {(): {b: 1}}) for b in range(n)}
 
     def cls0(b):
         return pts[b] if b < n else zero_cochain(alg, 0)
@@ -1778,10 +1769,10 @@ def schouten_comparison(truncation=3):
               "derivations_closed": all(hochschild_d(d).is_zero()
                                         for d in ders.values())}
     ok_br = all(gerstenhaber_bracket(ders[a], ders[b])
-                .sub(cls1(a + b - 1).scale(Fraction(b - a))).is_zero()
+                .sub(cls1(a + b - 1).scale(b - a)).is_zero()
                 for a in ders for b in ders)
     ok_mixed = all(gerstenhaber_bracket(ders[a], pts[b])
-                   .sub(cls0(a + b - 1).scale(Fraction(b))).is_zero()
+                   .sub(cls0(a + b - 1).scale(b)).is_zero()
                    for a in ders for b in pts)
     ok_cup0 = all(cup(pts[a], pts[b]).sub(cls0(a + b)).is_zero()
                   for a in pts for b in pts)
@@ -1816,19 +1807,19 @@ def hh_gerstenhaber_report(algebra=None, max_degree=2):
             for z in reps:
                 sx, sy, sz = x.sdeg, y.sdeg, z.sdeg
                 j = gerstenhaber_bracket(gerstenhaber_bracket(x, y), z) \
-                    .scale(Fraction((-1) ** (sx * sz)))
+                    .scale((-1) ** (sx * sz % 2))
                 j = j.add(gerstenhaber_bracket(
                     gerstenhaber_bracket(y, z), x)
-                    .scale(Fraction((-1) ** (sy * sx))))
+                    .scale((-1) ** (sy * sx % 2)))
                 j = j.add(gerstenhaber_bracket(
                     gerstenhaber_bracket(z, x), y)
-                    .scale(Fraction((-1) ** (sz * sy))))
+                    .scale((-1) ** (sz * sy % 2)))
                 if not is_coboundary(j, nmax=j.arity + 1):
                     jac_ok = False
                 lhs = gerstenhaber_bracket(x, cup(y, z))
                 rhs = cup(gerstenhaber_bracket(x, y), z).add(
                     cup(y, gerstenhaber_bracket(x, z))
-                    .scale(Fraction((-1) ** (sx * y.arity))))
+                    .scale((-1) ** (sx * y.arity % 2)))
                 if not is_coboundary(lhs.sub(rhs), nmax=lhs.arity + 1):
                     lei_ok = False
     return {"classes": len(reps), "jacobi_on_cohomology": jac_ok,
@@ -1857,7 +1848,7 @@ def hom_commutator_report(weight_cap=3, letter_cap=3):
     bsq_res = 0
     ac_res = 0
     for (z, v) in funcs:
-        f = {z: {v: Fraction(1)}}
+        f = {z: {v: 1}}
         par = functional_parity(model, z, v)
         shift = ctx.weight(v) - ctx.z_weight(z)
         gm = hom_differential(model, Tm, f, par)

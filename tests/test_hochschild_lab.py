@@ -54,6 +54,39 @@ def test_algebra_validation_errors():
                 {0: F(1)})
 
 
+def test_scalar_entry_points_reject_floats():
+    alg = dual_numbers()
+    x = identity_cochain(alg)
+    cubic = truncated_polynomial_algebra(3)
+    halved = dict(cubic.mult)
+    halved[(1, 1)] = {2: 0.5}  # x.x = x^2 / 2 is still associative
+    for make in (
+            lambda: Algebra(cubic.labels, cubic.degrees, halved, cubic.unit),
+            lambda: Algebra(["1"], [0], {(0, 0): {0: 1}}, {0: 0.5}),
+            lambda: Cochain(alg, 1, {(0,): {1: 0.5}}),
+            lambda: x.scale(0.5),
+            lambda: zero_cochain(alg, 1).scale(0.5),
+            lambda: CochainWordSum(alg, [(0.5, (x,))]),
+            lambda: CochainWordSum(alg).scale(0.5)):
+        with pytest.raises(HochschildError, match="not an int or Fraction"):
+            make()
+    assert x.scale(F(1, 2)).values[(0,)] == {0: F(1, 2)}
+    assert type(x.scale(2).values[(0,)][0]) is int
+
+
+def test_signs_with_zero_cochains_stay_int():
+    # a 0-cochain has shifted degree -1, so these signs have negative
+    # exponents before reduction mod 2
+    alg = dual_numbers()
+    f, pt = basis_cochain(alg, (0, 1), 1), Cochain(alg, 0, {(): {1: 1}})
+    assert brace(f, [pt]).values == {(0,): {1: -1}}
+    for c in (brace(f, [pt]), gerstenhaber_bracket(f, pt),
+              gerstenhaber_bracket(pt, f)):
+        assert not c.is_zero()
+        assert all(type(v) is int
+                   for col in c.values.values() for v in col.values())
+
+
 def test_mu_brace_mu_is_zero():
     for n in (2, 3):
         mu = multiplication_cochain(truncated_polynomial_algebra(n))
@@ -341,6 +374,55 @@ def test_dual_model_left_normed_spanning():
     # construction raises if left-normed bracket monomials fail to span
     ctx = SchoutenTruncation(3, 3)
     SchoutenDualModel(ctx)
+
+
+def test_dual_model_keeps_integer_coefficients():
+    ctx = SchoutenTruncation(3, 3)
+    model = SchoutenDualModel(ctx)
+    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
+    Tb = model.transpose(lambda z: schouten_d_bracket(ctx, z))
+
+    def coefficients(table):
+        return [c for col in table.values() for c in col.values()]
+
+    for table in (Tm, Tb, model._br):
+        assert all(type(c) is int for c in coefficients(table))
+    exact = []
+    for k in range(1, ctx.lcap + 1):
+        for w in ctx.raw_words(k, ctx.cap):
+            exact.extend(ctx.reduce_word(w).values())
+    exact.extend(c for rw in model._rw.values() for c, _ in rw)
+    for z in model.P:
+        for v in ctx.monos:
+            par = hl.functional_parity(model, z, v)
+            for T in (Tm, Tb):
+                exact.extend(coefficients(
+                    hl.hom_differential(model, T, {z: {v: 1}}, par)))
+    assert all(type(c) in (int, F) for c in exact)
+    for z in model.P:
+        x = {z: 1}
+        g = model.g2p(x)
+        if model._mult_factor(z) == 1:
+            assert type(g[z]) is int
+        assert model.p2g(g) == x
+
+
+def test_hom_differential_rejects_mixed_parity():
+    ctx = SchoutenTruncation(2, 2)
+    model = SchoutenDualModel(ctx)
+    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
+    labels = [(z, v) for z in model.P for v in ctx.monos]
+    even = next(l for l in labels if hl.functional_parity(model, *l) == 0)
+    odd = next(l for l in labels if hl.functional_parity(model, *l) == 1)
+    mixed = {even[0]: {even[1]: 1}}
+    mixed.setdefault(odd[0], {})[odd[1]] = 1
+    for par in (0, 1, 2):
+        with pytest.raises(HochschildError):
+            hl.hom_differential(model, Tm, mixed, par)
+    # the parity counts mod 2
+    hl.hom_differential(model, Tm, {even[0]: {even[1]: 1}}, 2)
+    with pytest.raises(HochschildError):
+        hl.hom_differential(model, Tm, {even[0]: {even[1]: 1}}, 1)
 
 
 def test_coderivations_lower_gradings():
