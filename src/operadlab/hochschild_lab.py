@@ -1288,13 +1288,22 @@ class SchoutenDualModel:
             vec_axpy(out, c, self._phi_ln(seq, gv, pphi))
         return out
 
-    def phi(self, x, gv, pphi):
-        """Derivation with generator values gv applied to x (product rep)."""
+    def phi(self, x, gv, pphi, memo):
+        """Derivation with generator values gv applied to x (product rep).
+
+        `memo` (word -> `phi_word` value) is shared by the calls with the
+        same gv and pphi.  A word with no letter in gv goes to zero.
+        """
         out = {}
         for z, c in x.items():
             for i, w in enumerate(z):
+                if w not in memo:
+                    memo[w] = (self.phi_word(w, gv, pphi)
+                               if any(l in gv for l in w) else {})
+                fw = memo[w]
+                if not fw:
+                    continue
                 koz = sum(self.q(z[r]) for r in range(i)) * pphi
-                fw = self.phi_word(w, gv, pphi)
                 t = self.mulP(self.mulP({z[:i]: 1}, fw), {z[i + 1:]: 1})
                 vec_axpy(out, (-1) ** (koz % 2) * c, t)
         return out
@@ -1340,14 +1349,16 @@ def hom_differential(model, T, f, parity):
            for z, col in f.items() for v in col):
         raise HochschildError(f"f is not homogeneous of parity {parity % 2}")
     gv = model.func_to_gens(f)
+    memo = {}
     out = {}
     sg = (-1) ** parity
     for m in model.ctx.monos:
         zv = ((m,),)
-        G = model.apply_T(T, model.p2g(model.phi({zv: 1}, gv, parity)))
+        G = model.apply_T(T, model.p2g(model.phi({zv: 1}, gv, parity, memo)))
         col = T.get(zv)
         if col:
-            vec_axpy(G, -sg, model.p2g(model.phi(model.g2p(col), gv, parity)))
+            vec_axpy(G, -sg, model.p2g(model.phi(model.g2p(col), gv, parity,
+                                                 memo)))
         for z, c in G.items():
             vec_acc(out.setdefault(z, {}), m, c)
     return out
@@ -1403,9 +1414,10 @@ def extension_report(weight_cap=3, letter_cap=3):
             if col:
                 f[z] = col
         gv = model.func_to_gens(f)
+        memo = {}
         bad = 0
         for z in P:
-            got = model.p2g(model.phi(model.g2p({z: 1}), gv, 1))
+            got = model.p2g(model.phi(model.g2p({z: 1}), gv, 1, memo))
             want = model.apply_T(T, {z: 1})
             vec_axpy(got, -1, want)
             if got:

@@ -24,6 +24,9 @@ coefficients (`lift`).  Graded letters enter only through one sign,
 `koszul_sign`, taken once per result term by `evaluate` and by
 `at_parities`, the engine's reader on graded atoms.
 
+Nothing here divides.  The cell boundaries, coproducts and counits are
+integral, and so are the signs, so every coefficient is an `int`.
+
 Sign conventions that the source identities leave open are fixed once by
 requiring d^2 = 0 and the coderivation/coproduct compatibility rules, and
 are exported through `signs_report` / `write_signs`.
@@ -33,20 +36,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from . import associahedra as ah
 from .coalgebra_operad import counit_morphism, delta_cell
-from .exact_chain import (Complex, GradedMap, GradedSpace, span, vec_acc,
-                          vec_axpy)
+from .exact_chain import (Complex, GradedMap, GradedSpace, Scalar, span,
+                          vec_acc, vec_axpy)
 from .operad_core import (
     GeneratorSymbol, Leaf, Node, OperadElement, ShiftedElement, corolla,
     format_tree, graft, parity_sign, perm_sgn, relabel, signed_shuffles,
     transpose_sign, tree_arity, tree_degree, FreeDifferential,
 )
-
-F = Fraction
-F1 = Fraction(1)
 
 
 class OXError(Exception):
@@ -105,10 +104,10 @@ class _AsContext:
         return {}
 
     def delta(self, t) -> dict:
-        return {(t, t): F1}
+        return {(t, t): 1}
 
-    def eps(self, t) -> Fraction:
-        return F1
+    def eps(self, t) -> Scalar:
+        return 1
 
     def insert0(self, t, i: int) -> dict:
         """Delete input slot i of a binary tree and splice its parent."""
@@ -124,7 +123,7 @@ class _AsContext:
 
         res = go(t)
         mapping = {l: (l if l < i else l - 1) for l in res.letters}
-        return {relabel(res, mapping): F1}
+        return {relabel(res, mapping): 1}
 
 
 class _AContext:
@@ -132,17 +131,29 @@ class _AContext:
 
     name = "A"
 
+    def __init__(self):
+        self._deletions = {}
+
     def boundary(self, t) -> dict:
         return dict(ah.boundary(t).terms)
 
     def delta(self, t) -> dict:
         return delta_cell(t)
 
-    def eps(self, t) -> Fraction:
+    def eps(self, t) -> Scalar:
         return counit_morphism(t)
 
     def insert0(self, t, i: int) -> dict:
-        return dict(ah.insert_chain(tree_arity(t), 0, i, _el(t)).terms)
+        """Delete input slot i of the cell t (insert the unit there).
+
+        Each (t, i) is computed once and kept in this context's table.
+        `phi1_tree`'s empty-block branch, its only caller, just reads the
+        result, so treat it as read-only.
+        """
+        if (t, i) not in self._deletions:
+            self._deletions[t, i] = dict(
+                ah.insert_chain(tree_arity(t), 0, i, _el(t)).terms)
+        return self._deletions[t, i]
 
 
 AS_CONTEXT = _AsContext()
@@ -220,7 +231,7 @@ def phi1_tree(ctx, t, blocks) -> dict:
     if isinstance(t, Leaf):
         if len(blocks) != 1:
             raise OXError("identity cell takes one block")
-        return {blocks[0][0]: F1} if len(blocks[0]) == 1 else {}
+        return {blocks[0][0]: 1} if len(blocks[0]) == 1 else {}
     if len(blocks) != tree_arity(t):
         raise OXError("block count must match the cell arity")
 
@@ -237,7 +248,7 @@ def phi1_tree(ctx, t, blocks) -> dict:
             raise OXError("cell leaf labels must be in planar order")
         profile = tuple(len(b) for b in blocks)
         sym = phi_symbol(ctx.name, t, profile)
-        return {Node(sym, (x for b in blocks for x in b)): F1}
+        return {Node(sym, (x for b in blocks for x in b)): 1}
 
     # composite cell: recurse into the children
     infos = []
@@ -246,7 +257,7 @@ def phi1_tree(ctx, t, blocks) -> dict:
         a = tree_arity(ch)
         chblocks = blocks[pos:pos + a]
         if isinstance(ch, Leaf):
-            infos.append([(chblocks[0], F1)])
+            infos.append([(chblocks[0], 1)])
         else:
             local = relabel(ch, {l: l - pos for l in ch.letters})
             infos.append(list(phi_full(ctx, local, chblocks).items()))
@@ -255,7 +266,7 @@ def phi1_tree(ctx, t, blocks) -> dict:
     root = corolla(t.symbol)
     out = {}
     for combo in itertools.product(*infos):
-        coeff = F1
+        coeff = 1
         for _, c in combo:
             coeff *= c
         words = tuple(w for (w, _) in combo)
@@ -282,7 +293,7 @@ def phi_rank(ctx, t, blocks, r: int) -> dict:
         if any(blocks):
             return {}
         e = ctx.eps(t)
-        return {(): F(e)} if e else {}
+        return {(): e} if e else {}
     if r == 1:
         return {(e,): c for e, c in phi1_tree(ctx, t, blocks).items()}
     if r > sum(len(b) for b in blocks):
@@ -654,7 +665,7 @@ def filtration_weight(e) -> int:
 
 def shuffle_many(words) -> dict:
     """Shuffle product of tensor words, signed by the trees' degrees."""
-    out = {(): F1}
+    out = {(): 1}
     for w in words:
         nxt = {}
         for acc_w, c in out.items():
@@ -714,7 +725,7 @@ def _phi_lower(i: int, blocks) -> dict:
         (w,) = blocks
         if len(w) < 2:
             return {}
-        return {Node(d_symbol(len(w)), w): F(UNARY_D_SIGN)}
+        return {Node(d_symbol(len(w)), w): UNARY_D_SIGN}
     if i == 2 and not all(blocks):
         return {}
     q = [x.total_degree % 2 for b in blocks for x in b]

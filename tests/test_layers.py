@@ -9,6 +9,9 @@ Each module of the package may import only the modules below it:
 `cli_report` sits on top of everything.  The imports are read from the
 source with `ast`, including imports inside functions.
 
+Every other module keeps integer coefficients as `int`, so only the two
+modules that divide may import `fractions`.
+
 The span boundaries of the benchmark's tracer (`perfbench/tracing.py`)
 name functions and methods of these modules; they must keep resolving.
 """
@@ -81,3 +84,23 @@ def test_perfbench_boundaries_resolve():
         # a method is replaced on its own class, so it must be defined there
         found = vars(obj).get(attr) if owners else getattr(obj, attr, None)
         assert callable(found), (name, path)
+
+
+#: the modules that divide: `exact_chain` by a non-unit pivot, and
+#: `hochschild_lab` by the repeated-word factor of the Schouten dual model
+DIVIDING = {"exact_chain", "hochschild_lab"}
+
+
+def test_only_the_dividing_modules_import_fractions():
+    got = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[0] == "fractions" for n in names):
+                got.add(path.stem)
+    assert got <= DIVIDING, sorted(got - DIVIDING)

@@ -552,6 +552,55 @@ def test_every_global_sign_can_fail_the_check(monkeypatch, name, rule, k):
     assert check_Gg_and_tri(k) == {"arity": k, rule: False, other: True}
 
 
+# ---------------------------------------------------------------------------
+# integer coefficients and the deletion table
+#
+# Nothing in the engine divides, so every coefficient is an `int`, never a
+# Fraction or a float.
+
+def _assert_ints(coeffs, where):
+    for c in coeffs:
+        assert type(c) is int, (where, c)
+
+
+def test_engine_coefficients_are_integers():
+    profiles = [p for n in (2, 3, 4) for p in itertools.product((1, 2, 3),
+                                                                 repeat=n)
+                if sum(p) <= 4]
+    assert len(profiles) == 11
+    for prof in profiles:
+        blocks = ox._letter_blocks(prof)
+        for cell in ah.decompose(len(prof)).cells:
+            for r in range(sum(prof) + 1):
+                out = ox.phi_rank(ox.A_CONTEXT, cell, blocks, r)
+                _assert_ints(out.values(), (cell, prof, r))
+    for k in (2, 3, 4):
+        for side in ox._differential_sides(k):
+            assert side
+            _assert_ints(side.values(), k)
+
+
+def test_shuffles_and_three_split_extension_are_integer():
+    blocks = ox._letter_blocks((2, 1, 2))
+    out = ox.shuffle_many(blocks)
+    assert len(out) == 30
+    _assert_ints(out.values(), "shuffle_many")
+    cell = ah.fundamental_class(3).sorted_terms()[0][0]
+    out = ox.t_chi(lambda mids: ox.phi1_tree(ox.A_CONTEXT, cell, mids),
+                   blocks)
+    assert out
+    _assert_ints(out.values(), "t_chi")
+
+
+def test_insert0_keeps_each_deletion_in_its_table():
+    for n in range(2, 6):
+        for cell in ah.decompose(n).cells:
+            for i in range(1, n + 1):
+                got = ox.A_CONTEXT.insert0(cell, i)
+                assert got == dict(ah.insert_chain(n, 0, i, el(cell)).terms)
+                assert ox.A_CONTEXT.insert0(cell, i) is got
+
+
 # The parity-threaded sides that the even checks replaced, kept as the
 # reference for the graded conventions: the shuffles sign every word by its
 # letters' parities, t_chi signs the regrouping of the first/middle/last
