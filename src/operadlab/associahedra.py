@@ -30,7 +30,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .exact_chain import Complex, GradedMap, GradedSpace, Scalar, vec_axpy
+from .exact_chain import (
+    Complex, GradedMap, GradedSpace, Scalar, vec_acc, vec_axpy,
+)
 from .operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
     format_tree, graft, leaf_labels, relabel, tree_arity, tree_degree,
@@ -93,11 +95,10 @@ def augmentation(e: OperadElement) -> Scalar:
 def cone_chain(e: OperadElement) -> OperadElement:
     """Cone a chain of boundary cells; single-vertex terms are interior and
     may not be coned."""
-    def one(t):
-        if t.nverts < 2:
-            raise CellError("cone base must be a boundary cell")
-        return _el(corolla(cone_symbol(t)))
-    return e.map_trees(one)
+    if any(t.nverts < 2 for t in e.terms):
+        raise CellError("cone base must be a boundary cell")
+    return OperadElement(e.arity, {corolla(cone_symbol(t)): c
+                                   for t, c in e.terms.items()})
 
 
 def cone_chain_or_collapse(e: OperadElement) -> OperadElement:
@@ -137,11 +138,15 @@ def boundary(cell_or_chain) -> OperadElement:
 
 
 class CellComplex:
-    """Cells of decomposed K(n) with their boundary operator."""
+    """Cells of decomposed K(n) with their boundary operator: the border
+    cells (the keys of `cone`), the apex, and the cone Tb = cone[b] over
+    each border cell b."""
 
-    def __init__(self, n: int, cells):
+    def __init__(self, n: int, apex, cone: dict):
         self.n = n
-        self.cells = tuple(cells)
+        self.apex = apex
+        self.cone = cone
+        self.cells = (*cone, apex, *cone.values())
         degrees = {t: (tree_degree(t),) for t in self.cells}
         order = sorted(self.cells, key=lambda t: (-tree_degree(t), t.sort_key()))
         self.space = GradedSpace(order, degrees)
@@ -153,6 +158,7 @@ class CellComplex:
         self.d = GradedMap(self.space, self.space, (1,), entries)
         self.complex = Complex(self.space, self.d)  # checks d*d = 0
         self._homology = None
+        self._contractible = None
 
     def cells_of_dimension(self, k: int):
         return [t for t in self.space.labels if tree_degree(t) == -k]
@@ -172,6 +178,40 @@ class CellComplex:
             self._homology = {-k: v for k, v in
                               self.complex.homology_dims().items()}
         return dict(self._homology)
+
+    def contracting_homotopy_holds(self) -> bool:
+        """Whether dh + hd = id - eps * apex on every cell, computed once.
+
+        h is the cone map: h(b) = Tb on a border cell b, and h is 0 on the
+        apex and on the cones.  eps(t) is the coefficient sum of the
+        dimension-0 cells of t, and d is read from `self.d`.
+
+        This certifies that H(K(n)) is Q in degree 0, spanned by the apex.
+        The apex is a cycle for degree reasons (no cell has dimension -1),
+        so applying d to the identity gives eps * d = 0: eps is a chain map
+        to Q, and eps(apex) = 1.  The identity then says that h is a chain
+        homotopy between id and apex * eps, so the inclusion of the apex is
+        a chain homotopy equivalence.  In the terms of algebraic discrete
+        Morse theory, b <-> Tb is an acyclic matching whose only critical
+        cell is the apex.
+        """
+        if self._contractible is None:
+            d, h = self.d.entries, self.cone
+            self._contractible = True
+            for t in self.space.labels:
+                want = {t: 1}
+                if tree_degree(t) == 0:
+                    vec_acc(want, self.apex, -1)
+                got = {}
+                if t in h:
+                    vec_axpy(got, 1, d.get(h[t], {}))
+                for s, c in d.get(t, {}).items():
+                    if s in h:
+                        vec_acc(got, h[s], c)
+                if got != want:
+                    self._contractible = False
+                    break
+        return self._contractible
 
     def top_dimension(self) -> int:
         return max((dimension(t) for t in self.cells), default=0)
@@ -200,13 +240,13 @@ def decompose(n: int) -> CellComplex:
         raise CellError("arity must be >= 0")
     if n not in _complexes:
         if n <= 2:
-            cells = [point_cell(n)]
+            apex, cone = point_cell(n), {}
         else:
             border = sorted(frozenset().union(*facets(n).values()),
                             key=lambda t: t.sort_key())
-            cells = border + [corolla(apex_symbol(n))]
-            cells.extend(corolla(cone_symbol(b)) for b in border)
-        _complexes[n] = CellComplex(n, cells)
+            apex = corolla(apex_symbol(n))
+            cone = {b: corolla(cone_symbol(b)) for b in border}
+        _complexes[n] = CellComplex(n, apex, cone)
     return _complexes[n]
 
 

@@ -36,18 +36,13 @@ def _check(checks, name, ok, **data):
                    "data": {k: data[k] for k in sorted(data)}})
 
 
-def _homology_of_point(cx) -> bool:
-    """Whether the cell complex has the homology of a point."""
-    dims = cx.homology_dims()
-    return dims.get(0) == 1 and all(v == 0 for k, v in dims.items() if k)
-
-
 def _suite_associahedra(max_arity, weight_cap, seed):
     checks = []
     for n in range(2, max_arity + 1):
         cx = ah.decompose(n)  # construction certifies d^2 = 0
         _check(checks, f"K{n}_contractible",
-               _homology_of_point(cx) and cx.euler_characteristic() == 1,
+               cx.contracting_homotopy_holds()
+               and cx.euler_characteristic() == 1,
                counts={str(k): v for k, v in sorted(cx.counts().items())})
     if max_arity >= 4:
         _check(checks, "K4_cell_counts",
@@ -75,12 +70,10 @@ def _suite_coalgebra(max_arity, weight_cap, seed):
         _check(checks, f"A{n}_coalgebra_axioms", ok)
     quasi = True
     for n in range(2, max_arity + 1):
+        # the certificate makes the apex a representative of H_0
         cx = ah.decompose(n)
-        if not _homology_of_point(cx):
-            quasi = False
-            continue
-        _, reps = cx.complex.homology(0)
-        if co.counit_morphism(OperadElement(n, reps[0])) == 0:
+        if not cx.contracting_homotopy_holds() \
+                or co.counit_morphism(cx.apex) == 0:
             quasi = False
     _check(checks, "counit_quasi_isomorphism", quasi,
            arities=list(range(2, max_arity + 1)))

@@ -82,7 +82,7 @@ class Node:
     (`letters`), vertex count, arity and degree."""
 
     __slots__ = ("symbol", "children", "letters", "nverts", "nleaves",
-                 "total_degree", "_key")
+                 "total_degree", "_key", "_text")
     _cache: dict = {}
 
     def __new__(cls, symbol, children):
@@ -102,7 +102,7 @@ class Node:
             obj.nleaves = len(obj.letters)
             obj.total_degree = symbol.degree + sum(
                 c.total_degree for c in children)
-            obj._key = None
+            obj._key = obj._text = None
             cls._cache[key] = obj
         return obj
 
@@ -291,10 +291,13 @@ class OperadElement:
 
 
 def format_tree(t: Tree) -> str:
+    """The tree as text; a node keeps its text once it has been built."""
     if isinstance(t, Leaf):
         return str(t.label)
-    args = ",".join(format_tree(c) for c in t.children)
-    return f"{t.symbol.name}({args})"
+    if t._text is None:
+        args = ",".join(format_tree(c) for c in t.children)
+        t._text = f"{t.symbol.name}({args})"
+    return t._text
 
 
 def graft(outer: OperadElement, inner: OperadElement, i: int) -> OperadElement:
@@ -325,17 +328,20 @@ def replace_vertex(tree: Tree, path: tuple, value: OperadElement) -> OperadEleme
     if not isinstance(target, Node):
         raise CompositionError("path does not point at a vertex")
     r = len(target.children)
-    child_degs = [tree_degree(c) for c in target.children]
+    odd_children = [j for j, c in enumerate(target.children, 1)
+                    if tree_degree(c) % 2]
 
     terms = {}
     for s, c in value.terms.items():
         if tree_arity(s) != r:
             raise CompositionError("replacement arity mismatch")
         # interleaving sign: child block j moves past replacement vertices
-        # occurring after leaf j in s's preorder
-        after = _degree_after_leaves(s)
-        odd = sum(d * after[j] for j, d in enumerate(child_degs, 1)) % 2
-        sign = -1 if odd else 1
+        # occurring after leaf j in s's preorder; even blocks move freely
+        sign = 1
+        if odd_children:
+            after = _degree_after_leaves(s)
+            if sum(after[j] for j in odd_children) % 2:
+                sign = -1
 
         def build_repl(u):
             if isinstance(u, Leaf):
@@ -384,6 +390,10 @@ class FreeDifferential:
     def __call__(self, e: OperadElement) -> OperadElement:
         terms = {}
         for t, c in e.terms.items():
+            if t.nverts == 1 and t.letters == tuple(range(1, t.nleaves + 1)):
+                # a corolla: replacing its vertex gives the value itself
+                vec_axpy(terms, c, self.value(t.symbol).terms)
+                continue
             before = 0
             for path, sym in tree_vertices(t):
                 dval = self.value(sym)

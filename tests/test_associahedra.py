@@ -1,13 +1,15 @@
+import copy
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from operadlab.associahedra import (
-    CellError, apex_symbol, boundary, boundary_fundamental_cycle,
-    cone_symbol, decompose, dimension, facets, fundamental_class, insert,
-    insert_chain, point_cell,
+    CellError, apex_symbol, augmentation, boundary,
+    boundary_fundamental_cycle, cone_symbol, decompose, dimension, facets,
+    fundamental_class, insert, insert_chain, point_cell,
 )
+from operadlab.exact_chain import span, vec_acc
 from operadlab.operad_core import Leaf, Node, OperadElement, corolla
 
 
@@ -38,6 +40,52 @@ def test_contractibility_up_to_6():
         assert dims[0] == 1
         assert all(v == 0 for k, v in dims.items() if k != 0)
         assert cx.top_dimension() == max(n - 2, 0)
+        # the cone's contracting homotopy certifies the same homology
+        assert cx.contracting_homotopy_holds()
+
+
+def _tampered(cx, **attrs):
+    """A copy of cx with some attributes replaced and no certificate yet."""
+    bad = copy.copy(cx)
+    bad._contractible = None
+    for name, value in attrs.items():
+        setattr(bad, name, value)
+    return bad
+
+
+def test_certificate_fails_on_a_flipped_border_coefficient():
+    cx = decompose(4)
+    flips = [(b, s) for b in cx.cone for s in cx.d.entries.get(b, {})]
+    assert len(flips) == 20  # the 10 border edges, two ends each
+    for b, s in flips:
+        d = copy.copy(cx.d)
+        d.entries = dict(cx.d.entries)
+        d.entries[b] = dict(d.entries[b])
+        d.entries[b][s] = -d.entries[b][s]
+        assert not _tampered(cx, d=d).contracting_homotopy_holds(), (b, s)
+    assert cx.contracting_homotopy_holds()
+
+
+def test_certificate_fails_without_one_cone_entry():
+    cx = decompose(4)
+    for b in cx.cone:
+        cone = {k: v for k, v in cx.cone.items() if k is not b}
+        assert not _tampered(cx, cone=cone).contracting_homotopy_holds(), b
+    assert cx.contracting_homotopy_holds()
+
+
+def test_apex_represents_the_homology_of_a_point():
+    for n in range(2, 6):
+        cx = decompose(n)
+        assert augmentation(OperadElement.from_tree(cx.apex)) == 1
+        dim, (rep,) = cx.complex.homology(0)
+        assert dim == 1
+        # rep - eps(rep) * apex is a boundary
+        diff = dict(rep)
+        vec_acc(diff, cx.apex, -augmentation(OperadElement(n, rep)))
+        image = span(map(cx.d.entries.get, cx.space.labels_of_degree1(-1)),
+                     cx.space.index)
+        assert image.contains(diff), n
 
 
 def test_boundary_of_vertex_is_zero():

@@ -35,22 +35,30 @@ def test_json_round_trip_and_text_lines():
         cli.export(report, "xml")
 
 
-def test_cell_suites_compute_homology_once_per_arity(monkeypatch):
+def test_cell_suites_certify_contractibility_once_per_arity(monkeypatch):
     arities = range(2, 6)
     for n in arities:  # forget what earlier tests computed
-        monkeypatch.setattr(ah.decompose(n), "_homology", None)
-    calls = []
+        monkeypatch.setattr(ah.decompose(n), "_contractible", None)
+    ranks, certified = [], []
     rank_by_degree = Complex.rank_by_degree
+    holds = ah.CellComplex.contracting_homotopy_holds
 
-    def counted(self):
-        calls.append(self)
+    def counted_ranks(self):
+        ranks.append(self)
         return rank_by_degree(self)
 
-    monkeypatch.setattr(Complex, "rank_by_degree", counted)
+    def counted_certificate(self):
+        if self._contractible is None:
+            certified.append(self.n)
+        return holds(self)
+
+    monkeypatch.setattr(Complex, "rank_by_degree", counted_ranks)
+    monkeypatch.setattr(ah.CellComplex, "contracting_homotopy_holds",
+                        counted_certificate)
     assert cli.run("associahedra", max_arity=5)["all_pass"]
     assert cli.run("coalgebra", max_arity=5)["all_pass"]
-    assert [id(cx) for cx in calls] == [id(ah.decompose(n).complex)
-                                        for n in arities]
+    assert ranks == []
+    assert certified == list(arities)
 
 
 def test_determinism_same_seed():

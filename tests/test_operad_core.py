@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from operadlab import associahedra as ah
+from operadlab import ox_construction as ox
+from operadlab.exact_chain import vec_acc
 from operadlab.operad_core import (
     CompositionError, FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
     graft, leaf_labels, parity_sign, perm_sgn, replace_vertex,
     shift_degree, shift_operad, signed_shuffles, suspension_sign,
-    transpose_sign, tree_degree, ShiftedElement,
+    transpose_sign, tree_degree, tree_vertices, ShiftedElement,
 )
 
 C2 = GeneratorSymbol("c", 2, 0)
@@ -307,6 +310,57 @@ def test_graft_and_replace_vertex_signs_on_random_trees():
         want = _ref_replace_sign(s, [tree_degree(c) for c in target.children])
         assert list(got.terms.values()) == [want], (tree, path, s)
         _assert_attributes(next(iter(got.terms)))
+
+
+def _substitute(t, path, s):
+    """t with the vertex at `path` replaced by the tree s, whose leaf j
+    stands for that vertex's child j."""
+    if path:
+        i = path[0]
+        return Node(t.symbol, t.children[:i]
+                    + (_substitute(t.children[i], path[1:], s),)
+                    + t.children[i + 1:])
+    if isinstance(s, Leaf):
+        return t.children[s.label - 1]
+    return Node(s.symbol, tuple(_substitute(t, (), c) for c in s.children))
+
+
+def _ref_free_differential(d, e):
+    """The derivation as a vertex-replacement sum, every term with its
+    explicit signs: the degrees of the vertices before it in preorder, and
+    the children moving into the replacement tree."""
+    terms = {}
+    for t, c in e.terms.items():
+        before = 0
+        for path, sym in tree_vertices(t):
+            target = t
+            for i in path:
+                target = target.children[i]
+            degs = [tree_degree(ch) for ch in target.children]
+            for s, cs in d.value(sym).terms.items():
+                sign = (-1) ** (before % 2) * _ref_replace_sign(s, degs)
+                vec_acc(terms, _substitute(t, path, s), sign * c * cs)
+            before += sym.degree
+    return OperadElement(e.arity, terms)
+
+
+def test_free_differential_matches_the_vertex_replacement_sum():
+    # an odd child under the replaced root vertex, and an odd vertex
+    # before a replaced one
+    d = _assoc_differential()
+    x = graft(graft(el(corolla(M3)), el(corolla(M3)), 2), el(corolla(M2)), 1)
+    assert any(tree_degree(ch) % 2 for t in x.terms for ch in t.children)
+    assert d(x) == _ref_free_differential(d, x)
+    for t in ah.decompose(5).cells:
+        assert ah._diff(el(t)) == _ref_free_differential(ah._diff, el(t)), t
+    # the generators that the bop suite checks d^2 = 0 on
+    gens = [ox.d_symbol(k) for k in range(2, 6)]
+    gens += [ox.mm_symbol(k, l) for k in range(1, 5) for l in range(1, 5)
+             if k + l <= 5]
+    for g in gens:
+        dg = ox.diff(el(corolla(g)))
+        assert dg == _ref_free_differential(ox.diff, el(corolla(g)))
+        assert ox.diff(dg) == _ref_free_differential(ox.diff, dg)
 
 
 def test_shift_degree_examples():
