@@ -91,6 +91,7 @@ class Algebra:
                 self.mult[(i, j)] = _exact(mult.get((i, j), {}))
         self.unit = _exact(unit)
         self._validate()
+        self._coboundaries = {}  # arity n -> Echelon of d(C^{n-1})
 
     # -- structure ---------------------------------------------------------
     def product(self, u: dict, v: dict) -> dict:
@@ -341,29 +342,34 @@ def gerstenhaber_bracket(x: Cochain, y: Cochain) -> Cochain:
 # Hochschild complex and cohomology
 # ---------------------------------------------------------------------------
 
+def _cochain_basis(algebra: Algebra, n: int) -> list:
+    """Labels (n, argument tuple, value index) of the basis of C^n(A, A)."""
+    return [(n, args, k)
+            for args in itertools.product(range(algebra.dim), repeat=n)
+            for k in range(algebra.dim)]
+
+
+def _cochain_vector(c: Cochain) -> dict:
+    return {(c.arity, args, k): v
+            for args, col in c.values.items() for k, v in col.items()}
+
+
+def _d_column(algebra: Algebra, label) -> dict:
+    """The Hochschild d of the basis cochain `label`, as a vector."""
+    _, args, k = label
+    return _cochain_vector(hochschild_d(basis_cochain(algebra, args, k)))
+
+
 def hochschild_complex(algebra: Algebra, nmax: int) -> Complex:
     """The complex C^0(A, A) -> ... -> C^{nmax}(A, A) with basis labels
     (arity, argument tuple, value index)."""
-    labels = []
-    degrees = {}
-    for n in range(nmax + 1):
-        for args in itertools.product(range(algebra.dim), repeat=n):
-            for k in range(algebra.dim):
-                l = (n, args, k)
-                labels.append(l)
-                degrees[l] = (n,)
-    space = GradedSpace(labels, degrees)
+    labels = [l for n in range(nmax + 1) for l in _cochain_basis(algebra, n)]
+    space = GradedSpace(labels, {l: (l[0],) for l in labels})
     entries = {}
-    for n in range(nmax):
-        for args in itertools.product(range(algebra.dim), repeat=n):
-            for k in range(algebra.dim):
-                img = hochschild_d(basis_cochain(algebra, args, k))
-                col = {}
-                for a2, vec in img.values.items():
-                    for k2, c in vec.items():
-                        col[(n + 1, a2, k2)] = c
-                if col:
-                    entries[(n, args, k)] = col
+    for l in labels:
+        col = _d_column(algebra, l) if l[0] < nmax else {}
+        if col:
+            entries[l] = col
     d = GradedMap(space, space, (1,), entries, check=False)
     return Complex(space, d)
 
@@ -375,9 +381,9 @@ def hh_dimensions(algebra: Algebra, nmax: int) -> dict:
     return {n: dims.get(n, 0) for n in range(nmax)}
 
 
-def hh_representatives(algebra: Algebra, degree: int, nmax=None):
+def hh_representatives(algebra: Algebra, degree: int):
     """Representative cocycles of HH^degree as Cochain objects."""
-    cx = hochschild_complex(algebra, nmax if nmax is not None else degree + 1)
+    cx = hochschild_complex(algebra, degree + 1)
     _, reps = cx.homology(degree)
     out = []
     for rep in reps:
@@ -388,20 +394,20 @@ def hh_representatives(algebra: Algebra, degree: int, nmax=None):
     return out
 
 
-def _cochain_vector(c: Cochain) -> dict:
-    return {(c.arity, args, k): v
-            for args, col in c.values.items() for k, v in col.items()}
+def is_coboundary(c: Cochain) -> bool:
+    """Exact membership test against the image of the Hochschild d.
 
-
-def is_coboundary(c: Cochain, nmax=None) -> bool:
-    """Exact membership test against the image of the Hochschild d."""
+    The image d(C^{n-1}) is spanned once per algebra and arity n, from the
+    arity n-1 basis cochains, and kept on the algebra; arity 0 has none."""
     if c.is_zero():
         return True
-    alg = c.algebra
-    n = c.arity
-    cx = hochschild_complex(alg, nmax if nmax is not None else n + 1)
-    image = span(map(cx.d.entries.get, cx.space.labels_of_degree1(n - 1)),
-                 cx.space.index)
+    alg, n = c.algebra, c.arity
+    image = alg._coboundaries.get(n)
+    if image is None:
+        below = _cochain_basis(alg, n - 1) if n else []
+        index = {l: i for i, l in enumerate(_cochain_basis(alg, n))}
+        image = alg._coboundaries[n] = span(
+            (_d_column(alg, l) for l in below), index)
     return image.contains(_cochain_vector(c))
 
 
@@ -431,6 +437,11 @@ class CochainWordSum:
         _scalar(c)
         return CochainWordSum(self.algebra,
                               [(c * a, w) for a, w in self.terms])
+
+    def extend(self, fn):
+        """The linear extension over this sum of fn: word -> CochainWordSum."""
+        return CochainWordSum(self.algebra, [
+            (c * a, v) for c, w in self.terms for a, v in fn(w).terms])
 
     def is_zero(self) -> bool:
         """Exact zero test, one tensor factor at a time.
@@ -584,33 +595,29 @@ def binfty_on_cochains(algebra: Algebra, max_length: int = 4,
                 vals[args] = col
         return Cochain(alg, arity, vals)
 
+    def random_word(length):
+        return tuple(random_cochain(rng.choice([1, 2]))
+                     for _ in range(length))
+
     report = {"algebra": list(alg.labels), "checks": {}}
 
     # D^2 = 0 on words of length <= max_length
     for length in range(1, max_length + 1):
         for _ in range(samples):
-            word = tuple(random_cochain(rng.choice([1, 2]))
-                         for _ in range(length))
-            dd = CochainWordSum(alg)
-            dw = coalgebra_D(word)
-            for c, w in dw.terms:
-                dd = dd + coalgebra_D(w).scale(c)
-            if not dd.is_zero():
+            if not coalgebra_D(random_word(length)).extend(
+                    coalgebra_D).is_zero():
                 raise HochschildError(f"D^2 != 0 on a word of length {length}")
     report["checks"]["D_squared"] = f"zero on words of length <= {max_length}"
 
     # associativity of the product on short words
     for la, lb, lc in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
         for _ in range(samples):
-            a = tuple(random_cochain(rng.choice([1, 2])) for _ in range(la))
-            b = tuple(random_cochain(rng.choice([1, 2])) for _ in range(lb))
+            a, b = random_word(la), random_word(lb)
             c = tuple(random_cochain(1) for _ in range(lc))
-            lhs = CochainWordSum(alg)
-            for cf, w in coalgebra_product(a, b).terms:
-                lhs = lhs + coalgebra_product(w, c).scale(cf)
-            rhs = CochainWordSum(alg)
-            for cf, w in coalgebra_product(b, c).terms:
-                rhs = rhs + coalgebra_product(a, w).scale(cf)
+            lhs = coalgebra_product(a, b).extend(
+                lambda w: coalgebra_product(w, c))
+            rhs = coalgebra_product(b, c).extend(
+                lambda w: coalgebra_product(a, w))
             if not (lhs + rhs.scale(-1)).is_zero():
                 raise HochschildError(
                     f"product not associative on shape {(la, lb, lc)}")
@@ -619,17 +626,12 @@ def binfty_on_cochains(algebra: Algebra, max_length: int = 4,
     # D is a derivation of the product
     for la, lb in [(1, 1), (2, 1), (1, 2)]:
         for _ in range(samples):
-            a = tuple(random_cochain(rng.choice([1, 2])) for _ in range(la))
-            b = tuple(random_cochain(rng.choice([1, 2])) for _ in range(lb))
-            lhs = CochainWordSum(alg)
-            for cf, w in coalgebra_product(a, b).terms:
-                lhs = lhs + coalgebra_D(w).scale(cf)
-            rhs = CochainWordSum(alg)
-            for cf, w in coalgebra_D(a).terms:
-                rhs = rhs + coalgebra_product(w, b).scale(cf)
+            a, b = random_word(la), random_word(lb)
+            lhs = coalgebra_product(a, b).extend(coalgebra_D)
             sa = (-1) ** (sum(x.sdeg for x in a) % 2)
-            for cf, w in coalgebra_D(b).terms:
-                rhs = rhs + coalgebra_product(a, w).scale(sa * cf)
+            rhs = coalgebra_D(a).extend(lambda w: coalgebra_product(w, b)) \
+                + coalgebra_D(b).extend(
+                    lambda w: coalgebra_product(a, w)).scale(sa)
             if not (lhs + rhs.scale(-1)).is_zero():
                 raise HochschildError(
                     f"D is not a derivation of the product on {(la, lb)}")
@@ -702,25 +704,32 @@ def _harrison_blocks(weight):
             for k in range(1, weight + 1) for s in range(k, weight + 1)}
 
 
-def _harrison_boundary_raw(word, c):
-    """Boundary of (word | c) as a dict (raw word, c') -> coefficient."""
-    k = len(word)
+def _harrison_boundary(blocks, chain, c):
+    """Boundary of the raw chain sum(coeff (word | c)) over chain's words,
+    reduced in the shuffle quotient: a dict (basis word, c') -> coefficient.
+    The length-one piece has no word left to carry."""
+    raw = {}
+    for word, coeff in chain.items():
+        k = len(word)
+        for i in range(k - 1):
+            merged = word[:i] + (word[i] + word[i + 1],) + word[i + 2:]
+            vec_acc(raw, (merged, c), coeff * (-1) ** i)
+        vec_acc(raw, (word[:-1], word[-1] + c), coeff * (-1) ** (k - 1))
+        vec_acc(raw, (word[1:], word[0] + c), -coeff)
     out = {}
-    for i in range(k - 1):
-        merged = word[:i] + (word[i] + word[i + 1],) + word[i + 2:]
-        vec_acc(out, (merged, c), (-1) ** i)
-    if k >= 1:
-        vec_acc(out, (word[:-1], word[-1] + c), (-1) ** (k - 1))
-        vec_acc(out, (word[1:], word[0] + c), -1)
+    for (rw, rc), coeff in raw.items():
+        if rw:
+            _, ech = blocks[(len(rw), sum(rw))]
+            for bw, bc in ech.reduce({rw: coeff}).items():
+                vec_acc(out, (bw, rc), bc)
     return out
 
 
 def harrison_weight_complex(weight):
     """The exact weight-`weight` piece of the shuffle-quotient complex.
 
-    Returns (complex, info) where the complex is graded by word length and
-    info records gradings: a length-k chain has gr2 = k - 1 on its word part
-    (0 on the length-1 part) and odd letters contribute -1 each to gr1.
+    Returns (complex, info): the complex is graded by word length, and
+    info["dims"] counts the basis chains of each length.
     """
     if weight < 1:
         raise HochschildError("weight must be >= 1")
@@ -735,24 +744,12 @@ def harrison_weight_complex(weight):
     space = GradedSpace(labels, degrees)
     entries = {}
     for (w, c) in labels:
-        col = {}
-        for (rw, rc), coeff in _harrison_boundary_raw(w, c).items():
-            kk = len(rw)
-            if kk == 0:
-                continue  # the k=1 piece has no word left to carry
-            _, ech = blocks[(kk, sum(rw))]
-            for bw, bc in ech.reduce({rw: coeff}).items():
-                vec_acc(col, (bw, rc), bc)
+        col = _harrison_boundary(blocks, {w: 1}, c)
         if col:
             entries[(w, c)] = col
     d = GradedMap(space, space, (1,), entries)
     cx = Complex(space, d)
-    info = {
-        "weight": weight,
-        "gr2": {lab: len(lab[0]) - 1 for lab in labels},
-        "gr1": {lab: -len(lab[0]) - 1 for lab in labels},
-        "dims": {},
-    }
+    info = {"weight": weight, "dims": {}}
     for lab in labels:
         k = len(lab[0])
         info["dims"][k] = info["dims"].get(k, 0) + 1
@@ -808,18 +805,8 @@ def harrison_boundary_descends(weight):
             c = weight - s
             for w in _compositions(s, k):
                 for cut in range(1, k):
-                    # boundary of the relation, reduced in the quotient
-                    acc = {}
-                    for rw, coeff in shuffle_relation(w, cut, _odd).items():
-                        for (mw, mc), mcoeff in _harrison_boundary_raw(
-                                rw, c).items():
-                            if not mw:
-                                continue
-                            _, mech = blocks[(len(mw), sum(mw))]
-                            for bw, bc in mech.reduce(
-                                    {mw: coeff * mcoeff}).items():
-                                vec_acc(acc, (bw, mc), bc)
-                    if acc:
+                    if _harrison_boundary(
+                            blocks, shuffle_relation(w, cut, _odd), c):
                         return False
     return True
 
@@ -863,9 +850,6 @@ class SchoutenTruncation:
         self._pbasis = None
 
     # -- letters -----------------------------------------------------------
-    def deg(self, m):
-        return m[1]
-
     def weight(self, m):
         return m[0] + m[1]
 
@@ -998,10 +982,6 @@ class SchoutenTruncation:
     def z_weight(self, z):
         return sum(self.word_weight(w) for w in z)
 
-    def gr1(self, z):
-        """Internal degree of a basis element of P."""
-        return sum(sum(self.deg(l) - 1 for l in w) + 1 for w in z) - 1
-
     def gr2(self, z):
         """Cobracket count: sum over words of (length - 1)."""
         return self.z_letters(z) - len(z)
@@ -1128,6 +1108,7 @@ class SchoutenDualModel:
         self.P = ctx.p_basis()
         self._br = {}
         self._rw = {}
+        self._ln = {}  # generator sequence -> its nonzero left-normed bracket
         self._build_bracket()
         self._build_rewrite()
 
@@ -1197,30 +1178,19 @@ class SchoutenDualModel:
     def p2g(self, x):
         return vec_clean({z: c * self._mult_factor(z) for z, c in x.items()})
 
-    def brP_w(self, x, b):
-        """{x, b*} for x in product rep and b a single word.  Leibniz with
-        the mixed Koszul shift: {y.z, b} = y.{z, b} + (-1)^{q(z)(q(b)+1)}{y, b}.z."""
+    def leibniz(self, x, b, right):
+        """{x, b*} (right) or {b*, x} (not right) for x in product rep and b
+        a single word, by the Leibniz rule with the mixed Koszul shift
+        {y.z, b} = y.{z, b} + (-1)^{q(z)(q(b)+1)}{y, b}.z: b* passes the
+        factors after the bracketed one (right) or before it (left)."""
         out = {}
-        for z, c in x.items():
-            qb = self.q(b)
-            for i, w in enumerate(z):
-                koz = sum(self.q(z[r]) for r in range(i + 1, len(z))) * (qb + 1)
-                for w2, c2 in self.br_ww(w, b).items():
-                    r = self.sort_mono(list(z[:i]) + [w2] + list(z[i + 1:]))
-                    if r is None:
-                        continue
-                    s, zz = r
-                    vec_acc(out, zz, s * (-1) ** (koz % 2) * c * c2)
-        return out
-
-    def brFlip(self, b, x):
-        """{b*, x} for b a single word, x general: Leibniz in the second slot."""
-        out = {}
-        qb = self.q(b)
+        qb1 = self.q(b) + 1
         for z, c in x.items():
             for i, w in enumerate(z):
-                koz = (qb + 1) * sum(self.q(z[r]) for r in range(i))
-                for w2, c2 in self.br_ww(b, w).items():
+                passed = z[i + 1:] if right else z[:i]
+                koz = sum(self.q(u) for u in passed) * qb1
+                br = self.br_ww(w, b) if right else self.br_ww(b, w)
+                for w2, c2 in br.items():
                     r = self.sort_mono(list(z[:i]) + [w2] + list(z[i + 1:]))
                     if r is None:
                         continue
@@ -1235,6 +1205,7 @@ class SchoutenDualModel:
         for g in gens:
             self._rw[(g,)] = [(1, (g,))]
         prev = {(g,): {(g,): 1} for g in gens}
+        self._ln.update(prev)
         for k in range(2, ctx.lcap + 1):
             cur = {}
             for seq, el in prev.items():
@@ -1244,6 +1215,7 @@ class SchoutenDualModel:
                         vec_axpy(nel, c, self.br_ww(w, (g,)))
                     cur[seq + (g,)] = nel
             prev = {s: e for s, e in cur.items() if e}
+            self._ln.update(prev)
             basis, _ = ctx.word_block(k)
             ech = Echelon({w: i for i, w in enumerate(basis)})
             for seq in sorted(prev):
@@ -1257,29 +1229,19 @@ class SchoutenDualModel:
                 self._rw[w] = [(-c, s) for s, c in ech.relation.items()
                                if s is not _REWRITTEN]
 
-    def _ln_el(self, seq):
-        el = {(seq[0],): 1}
-        for l in seq[1:]:
-            nel = {}
-            for w, c in el.items():
-                vec_axpy(nel, c, self.br_ww(w, (l,)))
-            el = nel
-        return el
-
     # -- derivations from generator values ---------------------------------
     def _phi_ln(self, seq, gv, pphi):
         if len(seq) == 1:
             return dict(gv.get(seq[0], {}))
         pre = seq[:-1]
         g = (seq[-1],)
-        el = self._ln_el(pre)
         qpre = (sum(self.q((l,)) for l in pre) + len(pre) - 1) % 2
-        out = self.brP_w(self._phi_ln(pre, gv, pphi), g)
+        out = self.leibniz(self._phi_ln(pre, gv, pphi), g, True)
         gvg = gv.get(seq[-1])
         if gvg:
             sg = (-1) ** ((pphi * (qpre + 1)) % 2)
-            for w, c in el.items():
-                vec_axpy(out, sg * c, self.brFlip(w, gvg))
+            for w, c in self._ln[pre].items():
+                vec_axpy(out, sg * c, self.leibniz(gvg, w, False))
         return out
 
     def phi_word(self, w, gv, pphi):
@@ -1338,16 +1300,21 @@ def functional_parity(model, z, v):
     return (sum(model.q(w) for w in z) + model.q((v,))) % 2
 
 
-def hom_differential(model, T, f, parity):
+def hom_differential(model, T, f):
     """Commutator [d, f] of a coderivation d (given by its transpose T) with
-    the coderivation extension of the functional f (parity given).
+    the coderivation extension of the functional f.
 
-    Computed on the dual side: generator values of [T, Phi_f].  Returns a
-    functional dict z -> {letter: coeff} of parity parity+1.
+    Computed on the dual side: generator values of [T, Phi_f].  f must be
+    homogeneous; for f of parity p (read from its entries) the result is a
+    functional dict z -> {letter: coeff} of parity p+1, and {} for f = 0.
     """
-    if any(functional_parity(model, z, v) != parity % 2
-           for z, col in f.items() for v in col):
-        raise HochschildError(f"f is not homogeneous of parity {parity % 2}")
+    parities = {functional_parity(model, z, v)
+                for z, col in f.items() for v in col}
+    if len(parities) > 1:
+        raise HochschildError("f is not homogeneous")
+    if not parities:
+        return {}
+    parity, = parities
     gv = model.func_to_gens(f)
     memo = {}
     out = {}
@@ -1364,11 +1331,35 @@ def hom_differential(model, T, f, parity):
     return out
 
 
-def _hom(model, T, f):
-    """hom_differential of a nonzero f at the parity of its first entry."""
-    z, col = next(iter(f.items()))
-    return hom_differential(model, T, f,
-                            functional_parity(model, z, next(iter(col))))
+def _functional_vector(f):
+    """Flatten a functional dict to a vector over (z, v) labels."""
+    return vec_clean({(z, v): c for z, col in f.items()
+                      for v, c in col.items()})
+
+
+class _HomColumns(dict):
+    """The columns (z, v) -> [d, z* -> v] of [d, -] for one dual model and
+    one transposed coderivation T, as vectors over (z, v) labels; each is
+    computed on first use."""
+
+    def __init__(self, model, T):
+        super().__init__()
+        self.model, self.T = model, T
+
+    def __missing__(self, lab):
+        z, v = lab
+        col = self[lab] = _functional_vector(
+            hom_differential(self.model, self.T, {z: {v: 1}}))
+        return col
+
+
+def _apply(columns, f):
+    """[d, f] for f a vector over (z, v) labels: hom_differential is linear
+    in f, so this is the sum of f's columns."""
+    out = {}
+    for lab, c in f.items():
+        vec_axpy(out, c, columns[lab])
+    return out
 
 
 def extension_report(weight_cap=3, letter_cap=3):
@@ -1415,14 +1406,14 @@ def extension_report(weight_cap=3, letter_cap=3):
                 f[z] = col
         gv = model.func_to_gens(f)
         memo = {}
-        bad = 0
+        mismatches = 0
         for z in P:
             got = model.p2g(model.phi(model.g2p({z: 1}), gv, 1, memo))
             want = model.apply_T(T, {z: 1})
             vec_axpy(got, -1, want)
             if got:
-                bad += 1
-        report[f"extension_reproduces_{name}"] = bad == 0
+                mismatches += 1
+        report[f"extension_reproduces_{name}"] = mismatches == 0
     report["all_ok"] = all(v for k, v in report.items()
                            if isinstance(v, bool))
     return report
@@ -1501,10 +1492,11 @@ def e1_representative(ctx, v, a, b):
     return out
 
 
-def _functional_vector(f):
-    """Flatten a functional dict to a vector over (z, v) labels."""
-    return vec_clean({(z, v): c for z, col in f.items()
-                      for v, c in col.items()})
+def _kernel(columns, sources):
+    """Kernel of [d, -] (a _HomColumns table) on the span of `sources`."""
+    cols = {lab: columns[lab] for lab in sources}
+    targets = sorted({t for vec in cols.values() for t in vec}, key=repr)
+    return kernel_basis(cols, sources, {t: i for i, t in enumerate(targets)})
 
 
 def obstruction_E1(weight_cap, generators=2, max_columns=2):
@@ -1525,17 +1517,10 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
     lcap = max_columns + 2
     ctx = SchoutenTruncation(internal_cap, lcap, generators=generators)
     model = SchoutenDualModel(ctx)
-    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
+    dm = _HomColumns(model,
+                     model.transpose(lambda z: schouten_d_product(ctx, z)))
     report = {"weight_cap": weight_cap, "generators": generators,
               "columns": {}}
-    hom_cache = {}
-
-    def dm_column(z, v):
-        if (z, v) not in hom_cache:
-            hom_cache[(z, v)] = _functional_vector(
-                _hom(model, Tm, {z: {v: 1}}))
-        return hom_cache[(z, v)]
-
     for k in range(1, max_columns + 1):
         sources_all = _row_basis(ctx, k, 0, internal_cap)
         shifts = sorted({_functional_shift(ctx, z, v)
@@ -1544,11 +1529,7 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
         for s in shifts:
             sources = [(z, v) for (z, v) in sources_all
                        if _functional_shift(ctx, z, v) == s]
-            columns = {lab: dm_column(*lab) for lab in sources}
-            targets = sorted({t for vec in columns.values() for t in vec},
-                             key=repr)
-            index = {t: i for i, t in enumerate(targets)}
-            kernel = kernel_basis(columns, sources, index)
+            kernel = _kernel(dm, sources)
             vw = s + k
             if generators == 2:
                 n_v = 1 if vw == 0 else (2 if 1 <= vw <= internal_cap else 0)
@@ -1566,7 +1547,8 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
                         rep = e1_representative(ctx, v, k - bb, bb)
                         if rep:
                             reps.append(((v, k - bb, bb), rep))
-            reps_closed = all(not _hom(model, Tm, rep) for _, rep in reps)
+            reps_closed = all(not _apply(dm, _functional_vector(rep))
+                              for _, rep in reps)
             ech = span((_functional_vector(rep) for _, rep in reps),
                        {lab: i for i, lab in enumerate(sources)})
             indep = ech.rank
@@ -1590,13 +1572,9 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
     shifts = sorted({_functional_shift(ctx, z, v) for (z, v) in f1})
     for s in shifts:
         src1 = [lab for lab in f1 if _functional_shift(ctx, *lab) == s]
-        columns = {lab: dm_column(*lab) for lab in src1}
-        targets = sorted({t for vec in columns.values() for t in vec},
-                         key=repr)
-        kernel = kernel_basis(columns, src1,
-                              {t: i for i, t in enumerate(targets)})
+        kernel = _kernel(dm, src1)
         src0 = [lab for lab in f0 if _functional_shift(ctx, *lab) == s]
-        imdim = span((dm_column(*lab) for lab in src0),
+        imdim = span((dm[lab] for lab in src0),
                      {lab: i for i, lab in enumerate(src1)}).rank
         interior[s] = {"kernel": len(kernel), "image": imdim,
                        "cohomology": len(kernel) - imdim}
@@ -1666,8 +1644,8 @@ def obstruction_bracket_action(weight_cap, max_columns=2):
                 if not rep:
                     continue
                 wlim = internal_cap - max(ctx.weight(v) - k, 0) - 1
-                g = _hom(model, Tb, rep)
-                residual = _functional_vector(_hom(model, Tm, g)) if g else {}
+                g = hom_differential(model, Tb, rep)
+                residual = _functional_vector(hom_differential(model, Tm, g))
                 boundary_only = not interior(residual, wlim)
                 want = {}
                 for lab, c in _de_rham_model(v, a, b).items():
@@ -1788,7 +1766,7 @@ def schouten_comparison(truncation=3):
                    for a in ders for b in pts)
     ok_cup0 = all(cup(pts[a], pts[b]).sub(cls0(a + b)).is_zero()
                   for a in pts for b in pts)
-    ok_cup1 = all(is_coboundary(cup(ders[a], ders[b]), nmax=3)
+    ok_cup1 = all(is_coboundary(cup(ders[a], ders[b]))
                   for a in ders for b in ders)
     report.update({
         "bracket_of_derivations_schouten": ok_br,
@@ -1826,13 +1804,13 @@ def hh_gerstenhaber_report(algebra=None, max_degree=2):
                 j = j.add(gerstenhaber_bracket(
                     gerstenhaber_bracket(z, x), y)
                     .scale((-1) ** (sz * sy % 2)))
-                if not is_coboundary(j, nmax=j.arity + 1):
+                if not is_coboundary(j):
                     jac_ok = False
                 lhs = gerstenhaber_bracket(x, cup(y, z))
                 rhs = cup(gerstenhaber_bracket(x, y), z).add(
                     cup(y, gerstenhaber_bracket(x, z))
                     .scale((-1) ** (sx * y.arity % 2)))
-                if not is_coboundary(lhs.sub(rhs), nmax=lhs.arity + 1):
+                if not is_coboundary(lhs.sub(rhs)):
                     lei_ok = False
     return {"classes": len(reps), "jacobi_on_cohomology": jac_ok,
             "leibniz_over_cup_on_cohomology": lei_ok,
@@ -1852,41 +1830,31 @@ def hom_commutator_report(weight_cap=3, letter_cap=3):
     """
     ctx = SchoutenTruncation(weight_cap, letter_cap)
     model = SchoutenDualModel(ctx)
-    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
-    Tb = model.transpose(lambda z: schouten_d_bracket(ctx, z))
+    dm = _HomColumns(model,
+                     model.transpose(lambda z: schouten_d_product(ctx, z)))
+    db = _HomColumns(model,
+                     model.transpose(lambda z: schouten_d_bracket(ctx, z)))
     funcs = [(z, v) for z in model.P for v in ctx.monos]
     msq_bad = 0
     boundary = True
-    bsq_res = 0
-    ac_res = 0
-    for (z, v) in funcs:
-        f = {z: {v: 1}}
-        par = functional_parity(model, z, v)
-        shift = ctx.weight(v) - ctx.z_weight(z)
-        gm = hom_differential(model, Tm, f, par)
-        gb = hom_differential(model, Tb, f, par)
-        if vec_clean(_functional_vector(
-                hom_differential(model, Tm, gm, par + 1) if gm else {})):
+    residuals = {"bracket_square": 0, "anticommute": 0}
+    for lab in funcs:
+        shift = _functional_shift(ctx, *lab)
+        gm, gb = dm[lab], db[lab]
+        if _apply(dm, gm):
             msq_bad += 1
-        r = _functional_vector(
-            hom_differential(model, Tb, gb, par + 1) if gb else {})
-        if vec_clean(r):
-            bsq_res += 1
-            if any(ctx.z_weight(zz) + shift <= weight_cap
-                   for (zz, _) in r):
-                boundary = False
-        acc = _functional_vector(
-            hom_differential(model, Tb, gm, par + 1) if gm else {})
-        vec_axpy(acc, 1, _functional_vector(
-            hom_differential(model, Tm, gb, par + 1) if gb else {}))
-        if acc:
-            ac_res += 1
-            if any(ctx.z_weight(zz) + shift <= weight_cap
-                   for (zz, _) in acc):
-                boundary = False
+        anti = _apply(db, gm)
+        vec_axpy(anti, 1, _apply(dm, gb))
+        for name, r in (("bracket_square", _apply(db, gb)),
+                        ("anticommute", anti)):
+            if r:
+                residuals[name] += 1
+                if any(ctx.z_weight(zz) + shift <= weight_cap
+                       for (zz, _) in r):
+                    boundary = False
     return {"functionals": len(funcs),
             "product_square_zero": msq_bad == 0,
-            "bracket_square_residuals": bsq_res,
-            "anticommute_residuals": ac_res,
+            "bracket_square_residuals": residuals["bracket_square"],
+            "anticommute_residuals": residuals["anticommute"],
             "residuals_at_boundary_only": boundary,
             "all_ok": msq_bad == 0 and boundary}

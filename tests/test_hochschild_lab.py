@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from operadlab.exact_chain import span
 from operadlab.hochschild_lab import (
     Algebra, Cochain, CochainWordSum, HochschildError, coalgebra_D,
     coalgebra_product,
@@ -172,7 +173,46 @@ def test_cup_associative_and_commutative_on_classes():
     for a in reps1:
         for b in reps2:
             comm = cup(a, b).sub(cup(b, a).scale(F((-1) ** (1 * 2))))
-            assert is_coboundary(comm, nmax=4)
+            assert is_coboundary(comm)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hh_representatives_are_not_coboundaries(n):
+    alg = truncated_polynomial_algebra(n)
+    for degree in range(3):
+        reps = hh_representatives(alg, degree)
+        assert reps
+        assert not any(is_coboundary(r) for r in reps)
+
+
+def upper_triangular_matrices():
+    """The 2 x 2 upper triangular matrices over Q: not commutative, so d of
+    a 0-cochain need not vanish."""
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}}
+    return Algebra(["e11", "e12", "e22"], [0, 0, 0], mult, {0: 1, 2: 1})
+
+
+@pytest.mark.parametrize("make", [
+    dual_numbers, lambda: truncated_polynomial_algebra(3),
+    upper_triangular_matrices], ids=["x^2", "x^3", "upper_triangular"])
+def test_cached_coboundary_image_matches_the_complex(make):
+    # reference: the image of d in arity m, spanned in the whole complex
+    alg = make()
+    cx = hochschild_complex(alg, 4)
+    image = {m: span(map(cx.d.entries.get, cx.space.labels_of_degree1(m - 1)),
+                     cx.space.index) for m in range(5)}
+    verdicts = set()
+    for arity in range(4):
+        for args in itertools.product(range(alg.dim), repeat=arity):
+            for k in range(alg.dim):
+                c = basis_cochain(alg, args, k)
+                for x in (c, hochschild_d(c)):
+                    want = x.is_zero() or image[x.arity].contains(
+                        hl._cochain_vector(x))
+                    assert is_coboundary(x) == want
+                    verdicts.add(want)
+    assert verdicts == {True, False}
+    assert sorted(alg._coboundaries) == [0, 1, 2, 3, 4]
 
 
 def expand_word_sum(s):
@@ -272,6 +312,14 @@ def test_harrison_boundary_squares_to_zero():
 
 def test_harrison_boundary_descends():
     assert harrison_boundary_descends(4)
+
+
+def test_harrison_descent_check_can_fail(monkeypatch):
+    # blocks taken modulo even-letter shuffles do not hold the boundaries of
+    # the odd-letter relations
+    monkeypatch.setattr(hl, "_harrison_word_block", lambda k, s: (
+        hl.shuffle_quotient(sorted(hl._compositions(s, k)), lambda l: 0)))
+    assert not harrison_boundary_descends(4)
 
 
 def test_harrison_boundary_descends_builds_each_block_once(monkeypatch):
@@ -394,10 +442,9 @@ def test_dual_model_keeps_integer_coefficients():
     exact.extend(c for rw in model._rw.values() for c, _ in rw)
     for z in model.P:
         for v in ctx.monos:
-            par = hl.functional_parity(model, z, v)
             for T in (Tm, Tb):
                 exact.extend(coefficients(
-                    hl.hom_differential(model, T, {z: {v: 1}}, par)))
+                    hl.hom_differential(model, T, {z: {v: 1}})))
     assert all(type(c) in (int, F) for c in exact)
     for z in model.P:
         x = {z: 1}
@@ -416,13 +463,31 @@ def test_hom_differential_rejects_mixed_parity():
     odd = next(l for l in labels if hl.functional_parity(model, *l) == 1)
     mixed = {even[0]: {even[1]: 1}}
     mixed.setdefault(odd[0], {})[odd[1]] = 1
-    for par in (0, 1, 2):
-        with pytest.raises(HochschildError):
-            hl.hom_differential(model, Tm, mixed, par)
-    # the parity counts mod 2
-    hl.hom_differential(model, Tm, {even[0]: {even[1]: 1}}, 2)
     with pytest.raises(HochschildError):
-        hl.hom_differential(model, Tm, {even[0]: {even[1]: 1}}, 1)
+        hl.hom_differential(model, Tm, mixed)
+    assert hl.hom_differential(model, Tm, {}) == {}
+
+
+@pytest.mark.parametrize("caps", [(2, 3), (3, 3)])
+def test_hom_columns_apply_linearly(caps):
+    ctx = SchoutenTruncation(*caps)
+    model = SchoutenDualModel(ctx)
+    labels = [(z, v) for z in model.P for v in ctx.monos]
+    rng = random.Random(sum(caps))
+    for dP in (schouten_d_product, schouten_d_bracket):
+        T = model.transpose(lambda z: dP(ctx, z))
+        columns = hl._HomColumns(model, T)
+        for parity in (0, 1):
+            pool = [l for l in labels
+                    if hl.functional_parity(model, *l) == parity]
+            for _ in range(4):
+                f = {}
+                for z, v in rng.sample(pool, 5):
+                    f.setdefault(z, {})[v] = rng.choice([-2, -1, 1, 3])
+                want = hl._functional_vector(hl.hom_differential(model, T, f))
+                assert hl._apply(columns, hl._functional_vector(f)) == want
+                assert {hl.functional_parity(model, *l) for l in want} <= {
+                    1 - parity}
 
 
 def test_coderivations_lower_gradings():
@@ -441,6 +506,18 @@ def test_hom_commutators_exact_in_interior():
     assert rep["product_square_zero"]
     assert rep["residuals_at_boundary_only"]
     assert rep["all_ok"]
+
+
+@pytest.mark.parametrize("caps, functionals, bracket_square, anticommute", [
+    ((2, 3), 245, 0, 4), ((3, 3), 721, 2, 14), ((3, 4), 1799, 6, 42)])
+def test_hom_commutator_report_values(caps, functionals, bracket_square,
+                                      anticommute):
+    # exact counts: a wrong commutator moves them even where all_ok holds
+    assert hom_commutator_report(*caps) == {
+        "functionals": functionals, "product_square_zero": True,
+        "bracket_square_residuals": bracket_square,
+        "anticommute_residuals": anticommute,
+        "residuals_at_boundary_only": True, "all_ok": True}
 
 
 def test_obstruction_E1_matches_model():
