@@ -24,6 +24,9 @@ alone:
 with T applied termwise to the boundary cells of db and aug(b) the
 coefficient sum of the dimension-0 cells of b.  The boundary of any cell
 is therefore defined whether or not `decompose` has enumerated its K(n).
+When `decompose` does enumerate K(n), it walks each border cell's vertices
+once, builds each cone column from its base's column through the cone
+table, and hands that value to the differential for the larger complexes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .exact_chain import (
 )
 from .operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
-    format_tree, graft, leaf_labels, relabel, tree_arity, tree_degree,
+    format_tree, graft, graft_tree, leaf_labels, relabel, tree_arity,
+    tree_degree,
 )
 
 
@@ -140,7 +144,14 @@ def boundary(cell_or_chain) -> OperadElement:
 class CellComplex:
     """Cells of decomposed K(n) with their boundary operator: the border
     cells (the keys of `cone`), the apex, and the cone Tb = cone[b] over
-    each border cell b."""
+    each border cell b.
+
+    Only the border columns walk vertices: every vertex of a border cell is
+    an apex or a cone of a smaller K(m), whose value the differential
+    already holds.  The column of Tb is read from the column of b through
+    `cone`, and handed to the differential as the value of Tb's generator.
+    The apex column is zero, as no cell has dimension -1.
+    """
 
     def __init__(self, n: int, apex, cone: dict):
         self.n = n
@@ -150,15 +161,32 @@ class CellComplex:
         degrees = {t: (tree_degree(t),) for t in self.cells}
         order = sorted(self.cells, key=lambda t: (-tree_degree(t), t.sort_key()))
         self.space = GradedSpace(order, degrees)
-        entries = {}
+        cols = {}
         for t in order:
-            col = boundary(t)
-            if not col.is_zero():
-                entries[t] = dict(col.terms)
-        self.d = GradedMap(self.space, self.space, (1,), entries)
+            if t in cone:
+                cols[t] = boundary(t).terms
+            elif t is not apex:
+                val = self._cone_value(t.symbol.payload, cols)
+                _diff.define(t.symbol, val)
+                cols[t] = val.terms
+        self.d = GradedMap(self.space, self.space, (1,), cols)
         self.complex = Complex(self.space, self.d)  # checks d*d = 0
         self._homology = None
         self._contractible = None
+
+    def _cone_value(self, b, cols: dict) -> OperadElement:
+        """d(T b) = b - T(db) - aug(b) * apex, with db read from the columns
+        and T from the cone table."""
+        tdb = {}
+        for s, c in cols[b].items():
+            if s not in self.cone:
+                raise CellError(f"{format_tree(s)}, in the boundary of "
+                                f"{format_tree(b)}, is not a border cell")
+            tdb[self.cone[s]] = c
+        val = OperadElement(self.n, {b: 1}).sub(OperadElement(self.n, tdb))
+        if tree_degree(b) == 0:
+            val = val.sub(OperadElement(self.n, {self.apex: 1}))
+        return val
 
     def cells_of_dimension(self, k: int):
         return [t for t in self.space.labels if tree_degree(t) == -k]
@@ -224,12 +252,8 @@ def facets(n: int) -> dict:
         p = n + 1 - q
         cells_p, cells_q = decompose(p).cells, decompose(q).cells
         for l in range(1, p + 1):
-            cells = set()
-            for a in cells_p:
-                for b in cells_q:
-                    (t, _), = graft(_el(a), _el(b), l).terms.items()
-                    cells.add(t)
-            out[(p, q, l)] = frozenset(cells)
+            out[(p, q, l)] = frozenset(graft_tree(a, b, l)[1]
+                                       for a in cells_p for b in cells_q)
     return out
 
 

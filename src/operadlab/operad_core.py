@@ -181,7 +181,7 @@ def _degree_after_leaves(t: Tree) -> dict:
     return after
 
 
-def _graft_tree(outer: Tree, inner: Tree, i: int):
+def graft_tree(outer: Tree, inner: Tree, i: int):
     """Plug inner into the leaf of outer labeled i.
 
     Returns (sign, tree).  The Koszul sign moves the inner tensor block past
@@ -307,7 +307,7 @@ def graft(outer: OperadElement, inner: OperadElement, i: int) -> OperadElement:
     terms = {}
     for to, co in outer.terms.items():
         for ti, ci in inner.terms.items():
-            s, t = _graft_tree(to, ti, i)
+            s, t = graft_tree(to, ti, i)
             vec_acc(terms, t, s * co * ci)
     return OperadElement(outer.arity + inner.arity - 1, terms)
 
@@ -367,12 +367,21 @@ class FreeDifferential:
 
     rule(g) returns the differential of the generator g, an element of
     degree |g| + 1 and the arity of g, or None when g is a cycle.  The rule
-    is called once per generator; its value is checked then and kept.
+    is called once per generator; its value is checked then and kept.  A
+    caller that already holds the value hands it over with `define`, and
+    the rule is then not called for that generator.
     """
 
     def __init__(self, rule: Callable):
         self.rule = rule
         self._values: dict = {}
+
+    @staticmethod
+    def _check(g: GeneratorSymbol, v: OperadElement):
+        if v.arity != g.arity:
+            raise ValueError(f"differential of {g.name} must preserve arity")
+        if not v.is_zero() and v.degree() != g.degree + 1:
+            raise ValueError(f"differential of {g.name} must raise degree by 1")
 
     def value(self, g: GeneratorSymbol) -> OperadElement:
         v = self._values.get(g)
@@ -380,12 +389,20 @@ class FreeDifferential:
             v = self.rule(g)
             if v is None:
                 v = OperadElement.zero(g.arity)
-            if v.arity != g.arity:
-                raise ValueError(f"differential of {g.name} must preserve arity")
-            if not v.is_zero() and v.degree() != g.degree + 1:
-                raise ValueError(f"differential of {g.name} must raise degree by 1")
+            self._check(g, v)
             self._values[g] = v
         return v
+
+    def define(self, g: GeneratorSymbol, value: OperadElement):
+        """Keep value as the differential of g, checked as a rule value is.
+
+        Raises if g already holds a different value; an equal one is fine.
+        """
+        self._check(g, value)
+        old = self._values.setdefault(g, value)
+        if old is not value and old != value:
+            raise ValueError(f"differential of {g.name} is already defined "
+                             "as another value")
 
     def __call__(self, e: OperadElement) -> OperadElement:
         terms = {}

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from operadlab import associahedra as ah
 from operadlab.associahedra import (
-    CellError, apex_symbol, augmentation, boundary,
+    CellComplex, CellError, apex_symbol, augmentation, boundary,
     boundary_fundamental_cycle, cone_symbol, decompose, dimension, facets,
     fundamental_class, insert, insert_chain, point_cell,
 )
 from operadlab.exact_chain import span, vec_acc
-from operadlab.operad_core import Leaf, Node, OperadElement, corolla
+from operadlab.operad_core import (
+    FreeDifferential, Leaf, Node, OperadElement, corolla,
+)
 
 
 def test_points():
@@ -275,3 +278,42 @@ def test_cone_boundary_needs_no_decomposition():
     assert db == OperadElement.from_tree(b).sub(
         OperadElement.from_tree(corolla(apex_symbol(8))))
     assert boundary(db).is_zero()
+
+
+def test_decompose_defines_the_cone_values_of_the_rule():
+    # each cone column is read from its base's column, and kept as the
+    # value of the cone generator; the rule gives the same value afresh
+    rule = FreeDifferential(ah._cell_differential)
+    for n in range(3, 7):
+        cx = decompose(n)
+        for tb in cx.cone.values():
+            kept = ah._diff.value(tb.symbol)
+            assert kept == rule.value(tb.symbol), tb
+            assert cx.d.column(tb) == kept.terms
+
+
+def test_define_checks_the_value_it_keeps():
+    tb = next(iter(decompose(3).cone.values()))
+    d = FreeDifferential(ah._cell_differential)
+    g = tb.symbol
+    with pytest.raises(ValueError, match="degree"):
+        d.define(g, OperadElement.from_tree(tb))
+    with pytest.raises(ValueError, match="arity"):
+        d.define(g, OperadElement.from_tree(point_cell(2)))
+    assert g not in d._values
+    value = d.rule(g)
+    d.define(g, value)
+    d.define(g, value.scale(1))  # an equal value is fine
+    with pytest.raises(ValueError, match="already defined"):
+        d.define(g, value.scale(-1))
+    assert d.value(g) is value
+
+
+def test_cone_table_must_hold_every_border_face():
+    # a border vertex missing from the cone table cannot be coned when the
+    # cone over an edge through it is built
+    cx = decompose(4)
+    v = next(b for b in cx.cone if dimension(b) == 0)
+    cone = {b: tb for b, tb in cx.cone.items() if b is not v}
+    with pytest.raises(CellError, match="not a border cell"):
+        CellComplex(4, cx.apex, cone)

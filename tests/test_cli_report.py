@@ -143,3 +143,15 @@ def test_sign_conventions_check_fails_on_a_wrong_sign(monkeypatch, wrong):
     assert checks["sign_conventions"]["pass"] is False
     assert all(c["pass"] for name, c in checks.items()
                if name != "sign_conventions")
+
+
+def test_harrison_descent_check_fails_at_a_small_weight_cap(monkeypatch):
+    # blocks built on even letters hold every relation up to weight 2, so
+    # the suite checks descent at weight 3 even under a smaller cap
+    hl = cli.hl
+    monkeypatch.setattr(hl, "_harrison_word_block", lambda k, s: (
+        hl.shuffle_quotient(sorted(hl._compositions(s, k)), lambda l: 0)))
+    report = cli.run("obstruction", weight_cap=2)
+    check, = [c for c in report["checks"]
+              if c["name"] == "harrison_boundary_descends"]
+    assert check["pass"] is False

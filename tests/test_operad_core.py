@@ -351,7 +351,7 @@ def test_free_differential_matches_the_vertex_replacement_sum():
     x = graft(graft(el(corolla(M3)), el(corolla(M3)), 2), el(corolla(M2)), 1)
     assert any(tree_degree(ch) % 2 for t in x.terms for ch in t.children)
     assert d(x) == _ref_free_differential(d, x)
-    for t in ah.decompose(5).cells:
+    for t in ah.decompose(6).cells:
         assert ah._diff(el(t)) == _ref_free_differential(ah._diff, el(t)), t
     # the generators that the bop suite checks d^2 = 0 on
     gens = [ox.d_symbol(k) for k in range(2, 6)]
