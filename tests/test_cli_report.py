@@ -155,3 +155,23 @@ def test_harrison_descent_check_fails_at_a_small_weight_cap(monkeypatch):
     check, = [c for c in report["checks"]
               if c["name"] == "harrison_boundary_descends"]
     assert check["pass"] is False
+
+
+def test_bracket_action_check_passes_at_weight_cap_1():
+    report = cli.run("obstruction", weight_cap=1)
+    check, = [c for c in report["checks"]
+              if c["name"] == "bracket_acts_as_de_rham"]
+    assert check["pass"] is True
+    assert check["data"] == {"cases": 9}
+    assert report["all_pass"]
+
+
+@pytest.mark.parametrize("weight_cap", [1, 3])
+def test_bracket_action_check_fails_on_a_flipped_de_rham_sign(monkeypatch,
+                                                              weight_cap):
+    de_rham = cli.hl._de_rham_model
+    monkeypatch.setattr(cli.hl, "_de_rham_model", lambda *lab: {
+        k: -c for k, c in de_rham(*lab).items()})
+    report = cli.run("obstruction", weight_cap=weight_cap)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["bracket_acts_as_de_rham"]
