@@ -1,8 +1,10 @@
 """Exact rational graded linear algebra: spaces, maps, complexes, homology.
 
 Coefficients are exact rationals: a Python int while it is an integer, a
-Fraction only once a non-unit pivot has been divided by.  Vectors are sparse
-dicts mapping basis labels to nonzero coefficients.  Degrees are integer
+Fraction only once a real division leaves a non-integral quotient.  Every
+division in the package goes through `exact_div`, so this is the one module
+that imports `fractions`.  Vectors are sparse dicts mapping basis labels to
+nonzero coefficients.  Degrees are integer
 tuples; the first component is the cohomological degree and determines
 Koszul parity.
 """
@@ -31,6 +33,17 @@ class StructuralFailure(Exception):
 
 # ---------------------------------------------------------------------------
 # vectors
+
+def exact_div(a, b) -> Scalar:
+    """a / b exactly: an int when the quotient is an integer, otherwise a
+    Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
 
 def vec_acc(out: Vector, key, c) -> None:
     """out[key] += c in place; an entry that becomes zero is dropped.
@@ -248,11 +261,9 @@ class Echelon:
             return None
         piv = min(red, key=self.index.__getitem__)
         lead = red[piv]
-        # 1/lead = lead for a unit, so integer rows stay integer
-        inv = lead if lead in (1, -1) else Fraction(1) / lead
-        row = vec_scale(inv, red)
+        row = {k: exact_div(c, lead) for k, c in red.items()}
         if combo is not None:
-            combo = vec_scale(inv, combo)
+            combo = {k: exact_div(c, lead) for k, c in combo.items()}
         for p, r in self.rows.items():
             c = r.get(piv)
             if c:

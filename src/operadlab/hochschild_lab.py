@@ -30,21 +30,21 @@ The module has three layers.
    with the de Rham differential.
 
 All linear algebra is exact over the rationals.  Coefficients stay ints
-while they are integers; a Fraction appears only after a real division (a
-non-unit Echelon pivot, a non-unit leading coefficient in the shuffle
-rewrite, or the repeated-word factor in SchoutenDualModel.g2p), and
-scalars entering the cochain layer must be int or Fraction.
+while they are integers; every division (a non-unit Echelon pivot, a
+non-unit leading coefficient of the shuffle rewrite or of a standard
+bracket, the repeated-word factor in SchoutenDualModel.g2p) is
+exact_chain.exact_div, and scalars entering the cochain layer must be
+exact_chain.Scalar (int or Fraction).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import factorial as _factorial, prod
 
 from .exact_chain import (
-    Complex, Echelon, GradedMap, GradedSpace, kernel_basis, span, vec_acc,
-    vec_axpy, vec_clean, vec_scale,
+    Complex, GradedMap, GradedSpace, Scalar, exact_div, kernel_basis, span,
+    vec_acc, vec_axpy, vec_clean, vec_scale,
 )
 from .operad_core import parity_sign, signed_shuffles
 
@@ -55,7 +55,7 @@ class HochschildError(Exception):
 
 def _scalar(c):
     """c itself, once checked to be exact (an int or a Fraction)."""
-    if not isinstance(c, (int, Fraction)):
+    if not isinstance(c, Scalar):
         raise HochschildError(f"coefficient {c!r} is not an int or Fraction")
     return c
 
@@ -753,11 +753,8 @@ def shuffle_quotient(raws, parity):
             raise HochschildError(f"word {w} leads no shuffle of its units")
         nf = {}
         for x, cx in sh.items():
-            # 1/c = c for a unit
-            vec_axpy(nf, -cx * c if c in (1, -1) else Fraction(-cx, c),
-                     normal[x])
-        normal[w] = {x: cx.numerator if cx.denominator == 1 else cx
-                     for x, cx in nf.items()}
+            vec_axpy(nf, -cx, normal[x])
+        normal[w] = {x: exact_div(cx, c) for x, cx in nf.items()}
     return [w for w in raws if len(units[w]) == 1], ShuffleRewrite(normal)
 
 
@@ -1159,10 +1156,6 @@ def bracket_corestriction(ctx, z):
     return {}
 
 
-#: relation tag of the word being rewritten in SchoutenDualModel._build_rewrite
-_REWRITTEN = object()
-
-
 class SchoutenDualModel:
     """Graded dual of P as a free Gerstenhaber algebra.
 
@@ -1186,10 +1179,11 @@ class SchoutenDualModel:
         self.ctx = ctx
         self.P = ctx.p_basis()
         self._br = {}
-        self._rw = {}
-        self._ln = {}  # generator sequence -> its nonzero left-normed bracket
+        self._split = {}  # basis word -> its standard factorization (u, v)
+        self._std = {}    # basis word w -> P_w over the word duals
+        self._rw = {}     # basis word w -> w* as a combination of the P_v
         self._build_bracket()
-        self._build_rewrite()
+        self._build_duals()
 
     # -- cobracket transpose: odd Lie bracket on word duals ----------------
     def q(self, w):
@@ -1248,11 +1242,8 @@ class SchoutenDualModel:
                     for _, run in itertools.groupby(z))
 
     def g2p(self, x):
-        out = {}
-        for z, c in x.items():
-            m = self._mult_factor(z)
-            out[z] = c if m == 1 else c * Fraction(1, m)
-        return vec_clean(out)
+        return vec_clean({z: exact_div(c, self._mult_factor(z))
+                          for z, c in x.items()})
 
     def p2g(self, x):
         return vec_clean({z: c * self._mult_factor(z) for z, c in x.items()})
@@ -1277,69 +1268,85 @@ class SchoutenDualModel:
                     vec_acc(out, zz, s * (-1) ** (koz % 2) * c * c2)
         return out
 
-    # -- rewriting word duals as left-normed brackets of generators --------
-    def _build_rewrite(self):
+    # -- word duals by standard brackets ----------------------------------
+    def _build_duals(self):
+        """The standard bracket P_w of every basis word w, and w* as a
+        combination of them (Reutenauer, Free Lie Algebras, 1993, ch. 5).
+
+        A word of two or more letters splits as w = u.v at its least proper
+        suffix v in the descending letter order of shuffle_quotient (an odd
+        square l.l splits as (l, l)), and P_w = [P_u, P_v].  P_w is
+        P_w[w] w* plus duals of words after w in that order, with P_w[w] = 1,
+        or 2 at the odd squares, so the duals are filled from the last word
+        back.
+        """
         ctx = self.ctx
-        gens = list(ctx.monos)
-        for g in gens:
-            self._rw[(g,)] = [(1, (g,))]
-        prev = {(g,): {(g,): 1} for g in gens}
-        self._ln.update(prev)
-        for k in range(2, ctx.lcap + 1):
-            cur = {}
-            for seq, el in prev.items():
-                for g in gens:
-                    nel = {}
-                    for w, c in el.items():
-                        vec_axpy(nel, c, self.br_ww(w, (g,)))
-                    cur[seq + (g,)] = nel
-            prev = {s: e for s, e in cur.items() if e}
-            self._ln.update(prev)
-            basis, _ = ctx.word_block(k)
-            ech = Echelon({w: i for i, w in enumerate(basis)})
-            for seq in sorted(prev):
-                ech.add(prev[seq], tag=seq)
-            for w in basis:
-                # a word may equal a bracket sequence as a tuple, so it is
-                # tagged by a sentinel of its own
-                if ech.add({w: 1}, tag=_REWRITTEN) is not None:
+        rank = {m: i for i, m in enumerate(sorted(ctx.monos, reverse=True))}
+
+        def key(w):
+            return [rank[l] for l in w]
+
+        for k in range(1, ctx.lcap + 1):
+            for w in sorted(ctx.word_block(k)[0], key=key, reverse=True):
+                if k == 1:
+                    pw = {w: 1}
+                else:
+                    cut = min(range(1, k), key=lambda i: key(w[i:]))
+                    u, v = self._split[w] = w[:cut], w[cut:]
+                    pw = {}
+                    for a, ca in self._std[u].items():
+                        for b, cb in self._std[v].items():
+                            vec_axpy(pw, ca * cb, self.br_ww(a, b))
+                lead = pw.get(w)
+                if not lead:
                     raise HochschildError(
-                        f"left-normed brackets do not span word {w}")
-                self._rw[w] = [(-c, s) for s, c in ech.relation.items()
-                               if s is not _REWRITTEN]
+                        f"the standard bracket of {w} misses its word")
+                dual = {w: 1}
+                for x, c in pw.items():
+                    if x != w:
+                        vec_axpy(dual, -c, self._rw[x])
+                self._std[w] = pw
+                self._rw[w] = {x: exact_div(c, lead) for x, c in dual.items()}
 
     # -- derivations from generator values ---------------------------------
-    def _phi_ln(self, seq, gv, pphi):
-        if len(seq) == 1:
-            return dict(gv.get(seq[0], {}))
-        pre = seq[:-1]
-        g = (seq[-1],)
-        qpre = (sum(self.q((l,)) for l in pre) + len(pre) - 1) % 2
-        out = self.leibniz(self._phi_ln(pre, gv, pphi), g, True)
-        gvg = gv.get(seq[-1])
-        if gvg:
-            sg = (-1) ** ((pphi * (qpre + 1)) % 2)
-            for w, c in self._ln[pre].items():
-                vec_axpy(out, sg * c, self.leibniz(gvg, w, False))
-        return out
+    def _phi_std(self, w, gv, pphi, memo):
+        """phi(P_w), kept in memo under ("P", w).  For w = u.v it is
+        [phi P_u, P_v] + (-1)^(pphi (q(u)+1)) [P_u, phi P_v] (Leibniz)."""
+        if ("P", w) not in memo:
+            out = {}
+            if len(w) == 1:
+                out = gv.get(w[0], {})
+            elif any(l in gv for l in w):
+                u, v = self._split[w]
+                fu = self._phi_std(u, gv, pphi, memo)
+                for b, c in self._std[v].items():
+                    vec_axpy(out, c, self.leibniz(fu, b, True))
+                fv = self._phi_std(v, gv, pphi, memo)
+                sg = (-1) ** (pphi * (self.q(u) + 1) % 2)
+                for a, c in self._std[u].items():
+                    vec_axpy(out, sg * c, self.leibniz(fv, a, False))
+            memo["P", w] = out
+        return memo["P", w]
 
-    def phi_word(self, w, gv, pphi):
+    def phi_word(self, w, gv, pphi, memo):
+        """phi(w*) = sum of c phi(P_v) over w* = sum of c P_v."""
         out = {}
-        for c, seq in self._rw[w]:
-            vec_axpy(out, c, self._phi_ln(seq, gv, pphi))
+        for v, c in self._rw[w].items():
+            vec_axpy(out, c, self._phi_std(v, gv, pphi, memo))
         return out
 
     def phi(self, x, gv, pphi, memo):
         """Derivation with generator values gv applied to x (product rep).
 
-        `memo` (word -> `phi_word` value) is shared by the calls with the
-        same gv and pphi.  A word with no letter in gv goes to zero.
+        `memo` is shared by the calls with the same gv and pphi: it keeps
+        phi(w*) under the word w and phi(P_w) under ("P", w).  A word with
+        no letter in gv goes to zero.
         """
         out = {}
         for z, c in x.items():
             for i, w in enumerate(z):
                 if w not in memo:
-                    memo[w] = (self.phi_word(w, gv, pphi)
+                    memo[w] = (self.phi_word(w, gv, pphi, memo)
                                if any(l in gv for l in w) else {})
                 fw = memo[w]
                 if not fw:
@@ -1368,11 +1375,11 @@ class SchoutenDualModel:
         return out
 
     def func_to_gens(self, f):
-        """Functional f: z -> {letter: coeff} transposed to generator values."""
+        """Functional f, a vector over (z, letter) labels, transposed to
+        generator values."""
         gv = {}
-        for z, col in f.items():
-            for v, c in col.items():
-                vec_acc(gv.setdefault(v, {}), z, c)
+        for (z, v), c in f.items():
+            vec_acc(gv.setdefault(v, {}), z, c)
         return {v: self.g2p(el) for v, el in gv.items() if el}
 
 
@@ -1392,12 +1399,12 @@ def hom_differential(model, T, f):
     SchoutenDualModel.transpose returns it) with the coderivation extension
     of the functional f.
 
-    Computed on the dual side: generator values of [T, Phi_f].  f must be
-    homogeneous; for f of parity p (read from its entries) the result is a
-    functional dict z -> {letter: coeff} of parity p+1, and {} for f = 0.
+    Computed on the dual side: generator values of [T, Phi_f].  f is a
+    vector over (z, letter) labels, the basis functionals z* -> letter, and
+    must be homogeneous; for f of parity p (read from its labels) the result
+    is such a vector of parity p+1, and {} for f = 0.
     """
-    parities = {functional_parity(model, z, v)
-                for z, col in f.items() for v in col}
+    parities = {functional_parity(model, z, v) for z, v in f}
     if len(parities) > 1:
         raise HochschildError("f is not homogeneous")
     if not parities:
@@ -1416,15 +1423,8 @@ def hom_differential(model, T, f):
         col = T.letter_columns.get(m)
         if col:
             vec_axpy(G, -sg, model.p2g(model.phi(col, gv, parity, memo)))
-        for z, c in G.items():
-            vec_acc(out.setdefault(z, {}), m, c)
+        out.update(((z, m), c) for z, c in G.items())
     return out
-
-
-def _functional_vector(f):
-    """Flatten a functional dict to a vector over (z, v) labels."""
-    return vec_clean({(z, v): c for z, col in f.items()
-                      for v, c in col.items()})
 
 
 class _HomColumns(dict):
@@ -1437,9 +1437,7 @@ class _HomColumns(dict):
         self.model, self.T = model, T
 
     def __missing__(self, lab):
-        z, v = lab
-        col = self[lab] = _functional_vector(
-            hom_differential(self.model, self.T, {z: {v: 1}}))
+        col = self[lab] = hom_differential(self.model, self.T, {lab: 1})
         return col
 
 
@@ -1489,11 +1487,7 @@ def extension_report(weight_cap=3, letter_cap=3):
     for name, cor, T in (
             ("product", product_corestriction, Tm),
             ("bracket", bracket_corestriction, Tb)):
-        f = {}
-        for z in P:
-            col = cor(ctx, z)
-            if col:
-                f[z] = col
+        f = {(z, v): c for z in P for v, c in cor(ctx, z).items()}
         gv = model.func_to_gens(f)
         memo = {}
         mismatches = 0
@@ -1542,7 +1536,8 @@ def e1_representative(ctx, v, a, b):
     differentiates one letter by xi, and the results are multiplied into v.
     The xi*-placement sign alternates with the number of odd letters to its
     left; this convention is certified by the closure check in
-    obstruction_E1 ([d_product, m_phi] = 0).
+    obstruction_E1 ([d_product, m_phi] = 0).  Returns a vector over
+    (z, letter) labels, as hom_differential takes it.
     """
     if b not in (0, 1):
         raise HochschildError("at most one odd cogenerator power")
@@ -1552,7 +1547,6 @@ def e1_representative(ctx, v, a, b):
         if len(z) != k or ctx.z_letters(z) != k:
             continue
         letters = [w[0] for w in z]
-        col = {}
         assigns = [None] if b == 0 else list(range(k))
         for ix in assigns:
             coeff = 1
@@ -1576,10 +1570,18 @@ def e1_representative(ctx, v, a, b):
                     Etot += e
             if not ok or Etot > 1 or Ptot + Etot > ctx.cap:
                 continue
-            vec_acc(col, (Ptot, Etot), sgn * coeff)
-        if col:
-            out[z] = col
+            vec_acc(out, (z, (Ptot, Etot)), sgn * coeff)
     return out
+
+
+def _e1_representatives(ctx, k, values):
+    """(v, a, b, rep) for each letter v in `values` and each a + b = k >= 1
+    with b <= 1 whose e1_representative rep is nonzero."""
+    for v in values:
+        for b in (0, 1):
+            rep = e1_representative(ctx, v, k - b, b)
+            if rep:
+                yield v, k - b, b, rep
 
 
 def _kernel(columns, sources):
@@ -1623,24 +1625,15 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
             vw = s + k
             if generators == 2:
                 n_v = 1 if vw == 0 else (2 if 1 <= vw <= internal_cap else 0)
-                expected = n_v * (2 if k >= 1 else 1)
+                expected = 2 * n_v
             else:
                 expected = 0
             # representatives with v of weight s+k
-            reps = []
-            if generators == 2 and 0 <= vw <= internal_cap:
-                vs = [m for m in ctx.monos if ctx.weight(m) == vw]
-                for v in vs:
-                    for bb in (0, 1):
-                        if bb > k:
-                            continue
-                        rep = e1_representative(ctx, v, k - bb, bb)
-                        if rep:
-                            reps.append(((v, k - bb, bb), rep))
-            reps_closed = all(not _apply(dm, _functional_vector(rep))
-                              for _, rep in reps)
-            ech = span((_functional_vector(rep) for _, rep in reps),
-                       {lab: i for i, lab in enumerate(sources)})
+            vs = [m for m in ctx.monos if ctx.weight(m) == vw]
+            reps = ([rep for *_, rep in _e1_representatives(ctx, k, vs)]
+                    if generators == 2 else [])
+            reps_closed = all(not _apply(dm, rep) for rep in reps)
+            ech = span(reps, {lab: i for i, lab in enumerate(sources)})
             indep = ech.rank
             spanned = all(ech.contains(kv) for kv in kernel)
             col_report[s] = {
@@ -1724,39 +1717,29 @@ def obstruction_bracket_action(weight_cap, max_columns=2):
 
     report = {"weight_cap": weight_cap, "cases": [], "outside_window": []}
     ok = True
+    values = [v for v in ctx.monos if ctx.weight(v) <= weight_cap]
     for k in range(1, max_columns + 1):
-        for v in ctx.monos:
-            if ctx.weight(v) > weight_cap:
+        for v, a, b, rep in _e1_representatives(ctx, k, values):
+            wlim = internal_cap - max(ctx.weight(v) - k, 0) - 1
+            case = {"column": k, "value": list(v), "powers": [a, b],
+                    "window_weight": wlim}
+            want = {}
+            for lab, c in _de_rham_model(v, a, b).items():
+                vec_axpy(want, c, e1_representative(ctx, *lab))
+            want_in = interior(want, wlim)
+            if want and not want_in:
+                report["outside_window"].append(case)
                 continue
-            for b in (0, 1):
-                a = k - b
-                if a < 0:
-                    continue
-                rep = e1_representative(ctx, v, a, b)
-                if not rep:
-                    continue
-                wlim = internal_cap - max(ctx.weight(v) - k, 0) - 1
-                case = {"column": k, "value": list(v), "powers": [a, b],
-                        "window_weight": wlim}
-                want = {}
-                for lab, c in _de_rham_model(v, a, b).items():
-                    for z, col in e1_representative(ctx, *lab).items():
-                        for u, cu in col.items():
-                            vec_acc(want, (z, u), c * cu)
-                want_in = interior(want, wlim)
-                if want and not want_in:
-                    report["outside_window"].append(case)
-                    continue
-                g = hom_differential(model, Tb, rep)
-                residual = _functional_vector(hom_differential(model, Tm, g))
-                boundary_only = not interior(residual, wlim)
-                diff = interior(_functional_vector(g), wlim)
-                vec_axpy(diff, -1, want_in)
-                case_ok = boundary_only and not diff
-                ok = ok and case_ok
-                case.update({"residual_in_window_zero": boundary_only,
-                             "matches_de_rham": not diff, "ok": case_ok})
-                report["cases"].append(case)
+            g = hom_differential(model, Tb, rep)
+            residual = hom_differential(model, Tm, g)
+            boundary_only = not interior(residual, wlim)
+            diff = interior(g, wlim)
+            vec_axpy(diff, -1, want_in)
+            case_ok = boundary_only and not diff
+            ok = ok and case_ok
+            case.update({"residual_in_window_zero": boundary_only,
+                         "matches_de_rham": not diff, "ok": case_ok})
+            report["cases"].append(case)
     report["all_ok"] = ok and bool(report["cases"])
     return report
 

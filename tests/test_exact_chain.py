@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from operadlab.exact_chain import (
     Complex, Echelon, GradedMap, GradedSpace, InhomogeneousRelation,
-    StructuralFailure, kernel_basis, quotient, span, vec_acc, vec_axpy,
+    StructuralFailure, exact_div, kernel_basis, quotient, span, vec_acc,
+    vec_axpy,
     vec_is_zero, vec_scale,
 )
 
@@ -227,7 +228,7 @@ def test_tagged_dependent_vector_leaves_a_relation(case, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# coefficient types: int until a non-unit pivot is divided by
+# coefficient types: int until a division leaves a non-integral quotient
 
 def _values(*vectors):
     return [c for v in vectors for c in v.values()]
@@ -246,13 +247,25 @@ def test_unit_pivots_keep_rows_and_relations_integer():
     assert {type(c) for c in values} == {int}
 
 
+def test_exact_div_keeps_integral_quotients_int():
+    for a, b, q in ((6, 3, 2), (-3, -1, 3), (1, 2, Fraction(1, 2)),
+                    (Fraction(3, 2), Fraction(3, 4), 2),
+                    (4, Fraction(8, 3), Fraction(3, 2))):
+        got = exact_div(a, b)
+        assert got == q and type(got) is type(q), (a, b)
+
+
 def test_non_unit_pivot_gives_exact_fraction_rows():
-    ech = Echelon({"a": 0, "b": 1})
-    ech.add({"a": 2, "b": 1}, tag="x")
-    assert ech.rows == {"a": {"a": 1, "b": Fraction(1, 2)}}
+    ech = Echelon({"a": 0, "b": 1, "c": 2})
+    ech.add({"a": 2, "b": 1, "c": 4}, tag="x")
+    assert ech.rows == {"a": {"a": 1, "b": Fraction(1, 2), "c": 2}}
     assert ech.combos == {"a": {"x": Fraction(1, 2)}}
+    # integral entries are int, the others Fraction
     values = _values(*ech.rows.values(), *ech.combos.values())
-    assert {type(c) for c in values} == {Fraction}
+    assert [type(c) for c in values] == [int, Fraction, int, Fraction]
+    ech = Echelon({"a": 0, "b": 1})
+    ech.add({"a": Fraction(3, 2), "b": 3})
+    assert [type(c) for c in ech.rows["a"].values()] == [int, int]
 
 
 @given(sparse_columns())

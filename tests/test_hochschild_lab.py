@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from operadlab.exact_chain import span, vec_acc, vec_axpy
+from operadlab.exact_chain import Echelon, span, vec_axpy
 from operadlab.hochschild_lab import (
     Algebra, Cochain, CochainWordSum, HochschildError, coalgebra_D,
     coalgebra_product,
@@ -526,10 +526,122 @@ def test_coderivations_determined_by_corestriction():
     assert rep["all_ok"]
 
 
-def test_dual_model_left_normed_spanning():
-    # construction raises if left-normed bracket monomials fail to span
-    ctx = SchoutenTruncation(3, 3)
-    SchoutenDualModel(ctx)
+def _ref_left_normed_rewrite(model):
+    """Each word dual as left-normed brackets [..[g1*, g2*], .., gk*] of
+    letter duals, by elimination: (rw, ln) with rw[w] a list of
+    (coefficient, letter sequence) and ln[seq] the nonzero left-normed
+    bracket of seq over the word duals."""
+    ctx = model.ctx
+    gens = list(ctx.monos)
+    rw = {(g,): [(1, (g,))] for g in gens}
+    prev = {(g,): {(g,): 1} for g in gens}
+    ln = dict(prev)
+    # a word may equal a bracket sequence as a tuple, so the word being
+    # rewritten is tagged by a sentinel of its own
+    rewritten = object()
+    for k in range(2, ctx.lcap + 1):
+        cur = {}
+        for seq, el in prev.items():
+            for g in gens:
+                nel = {}
+                for w, c in el.items():
+                    vec_axpy(nel, c, model.br_ww(w, (g,)))
+                cur[seq + (g,)] = nel
+        prev = {s: e for s, e in cur.items() if e}
+        ln.update(prev)
+        basis, _ = ctx.word_block(k)
+        ech = Echelon({w: i for i, w in enumerate(basis)})
+        for seq in sorted(prev):
+            ech.add(prev[seq], tag=seq)
+        for w in basis:
+            assert ech.add({w: 1}, tag=rewritten) is None, w
+            rw[w] = [(-c, s) for s, c in ech.relation.items()
+                     if s is not rewritten]
+    return rw, ln
+
+
+class _RefLeftNormedModel(SchoutenDualModel):
+    """The dual model with phi(w*) read off the left-normed rewrite, the
+    derivation recursing over each bracket sequence without a memo."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self._ref_rw, self._ref_ln = _ref_left_normed_rewrite(self)
+
+    def _phi_ln(self, seq, gv, pphi):
+        if len(seq) == 1:
+            return dict(gv.get(seq[0], {}))
+        pre = seq[:-1]
+        qpre = (sum(self.q((l,)) for l in pre) + len(pre) - 1) % 2
+        out = self.leibniz(self._phi_ln(pre, gv, pphi), (seq[-1],), True)
+        gvg = gv.get(seq[-1])
+        if gvg:
+            sg = (-1) ** ((pphi * (qpre + 1)) % 2)
+            for w, c in self._ref_ln[pre].items():
+                vec_axpy(out, sg * c, self.leibniz(gvg, w, False))
+        return out
+
+    def phi_word(self, w, gv, pphi, memo):
+        out = {}
+        for c, seq in self._ref_rw[w]:
+            vec_axpy(out, c, self._phi_ln(seq, gv, pphi))
+        return out
+
+
+@pytest.mark.parametrize("caps, generators", [
+    ((3, 3), 2), ((4, 4), 2), ((4, 4), 0)])
+def test_hom_differential_matches_the_left_normed_rewrite(caps, generators):
+    ctx = SchoutenTruncation(*caps, generators=generators)
+    model = SchoutenDualModel(ctx)
+    ref = _RefLeftNormedModel(ctx)
+    for dP in (schouten_d_product, schouten_d_bracket):
+        T = model.transpose(lambda z: dP(ctx, z))
+        for z in model.P:
+            for v in ctx.monos:
+                f = {(z, v): 1}
+                assert (hl.hom_differential(model, T, f)
+                        == hl.hom_differential(ref, T, f)), (z, v)
+
+
+@pytest.mark.parametrize("caps, generators", [
+    ((3, 3), 2), ((4, 4), 2), ((5, 5), 2), ((4, 4), 0)])
+def test_word_duals_are_combinations_of_standard_brackets(caps, generators):
+    ctx = SchoutenTruncation(*caps, generators=generators)
+    model = SchoutenDualModel(ctx)
+    squares = 0
+    for k in range(1, ctx.lcap + 1):
+        for w in ctx.word_block(k)[0]:
+            got = {}
+            for v, c in model._rw[w].items():
+                vec_axpy(got, c, model._std[v])
+            assert got == {w: 1}, w
+            half = w[:k // 2]
+            odd_square = w == half + half and ctx.word_par(half) == 1
+            squares += odd_square
+            assert model._std[w][w] == (2 if odd_square else 1), w
+    assert squares or generators == 0
+
+
+def test_standard_bracket_missing_its_word_raises(monkeypatch):
+    monkeypatch.setattr(SchoutenDualModel, "br_ww", lambda self, a, b: {})
+    with pytest.raises(HochschildError):
+        SchoutenDualModel(SchoutenTruncation(2, 2))
+
+
+def test_dual_model_eliminates_nothing(monkeypatch):
+    calls = []
+    add = Echelon.add
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    model = SchoutenDualModel(SchoutenTruncation(3, 3))
+    assert calls == []
+    # the counter sees the elimination that the model no longer runs
+    _ref_left_normed_rewrite(model)
+    assert calls
 
 
 def test_dual_model_keeps_integer_coefficients():
@@ -541,18 +653,18 @@ def test_dual_model_keeps_integer_coefficients():
     def coefficients(table):
         return [c for col in table.values() for c in col.values()]
 
-    for table in (Tm, Tb, model._br):
+    for table in (Tm, Tb, model._br, model._std):
         assert all(type(c) is int for c in coefficients(table))
     exact = []
     for k in range(1, ctx.lcap + 1):
         for w in ctx.raw_words(k, ctx.cap):
             exact.extend(ctx.reduce_word(w).values())
-    exact.extend(c for rw in model._rw.values() for c, _ in rw)
+    exact.extend(coefficients(model._rw))
     for z in model.P:
         for v in ctx.monos:
             for T in (Tm, Tb):
-                exact.extend(coefficients(
-                    hl.hom_differential(model, T, {z: {v: 1}})))
+                exact.extend(
+                    hl.hom_differential(model, T, {(z, v): 1}).values())
     assert all(type(c) in (int, F) for c in exact)
     for z in model.P:
         x = {z: 1}
@@ -569,8 +681,7 @@ def test_hom_differential_rejects_mixed_parity():
     labels = [(z, v) for z in model.P for v in ctx.monos]
     even = next(l for l in labels if hl.functional_parity(model, *l) == 0)
     odd = next(l for l in labels if hl.functional_parity(model, *l) == 1)
-    mixed = {even[0]: {even[1]: 1}}
-    mixed.setdefault(odd[0], {})[odd[1]] = 1
+    mixed = {even: 1, odd: 1}
     with pytest.raises(HochschildError):
         hl.hom_differential(model, Tm, mixed)
     assert hl.hom_differential(model, Tm, {}) == {}
@@ -589,11 +700,10 @@ def test_hom_columns_apply_linearly(caps):
             pool = [l for l in labels
                     if hl.functional_parity(model, *l) == parity]
             for _ in range(4):
-                f = {}
-                for z, v in rng.sample(pool, 5):
-                    f.setdefault(z, {})[v] = rng.choice([-2, -1, 1, 3])
-                want = hl._functional_vector(hl.hom_differential(model, T, f))
-                assert hl._apply(columns, hl._functional_vector(f)) == want
+                f = {lab: rng.choice([-2, -1, 1, 3])
+                     for lab in rng.sample(pool, 5)}
+                want = hl.hom_differential(model, T, f)
+                assert hl._apply(columns, f) == want
                 assert {hl.functional_parity(model, *l) for l in want} <= {
                     1 - parity}
 
@@ -602,8 +712,7 @@ def _ref_hom_differential(model, T, f):
     """[d, f] by the per-call loop: Phi_f of every one-letter element, and
     the product-rep column of every one-letter element of T, recomputed on
     each call."""
-    parity, = {hl.functional_parity(model, z, v)
-               for z, col in f.items() for v in col}
+    parity, = {hl.functional_parity(model, z, v) for z, v in f}
     gv = model.func_to_gens(f)
     memo = {}
     out = {}
@@ -616,7 +725,7 @@ def _ref_hom_differential(model, T, f):
             vec_axpy(G, -sg, model.p2g(model.phi(model.g2p(col), gv,
                                                  parity, memo)))
         for z, c in G.items():
-            vec_acc(out.setdefault(z, {}), m, c)
+            out[z, m] = c
     return out
 
 
@@ -627,7 +736,7 @@ def test_hom_differential_matches_the_per_call_loop():
         T = model.transpose(lambda z: dP(ctx, z))
         for z in model.P:
             for v in ctx.monos:
-                f = {z: {v: 1}}
+                f = {(z, v): 1}
                 assert (hl.hom_differential(model, T, f)
                         == _ref_hom_differential(model, T, f))
 

@@ -86,9 +86,8 @@ def test_perfbench_boundaries_resolve():
         assert callable(found), (name, path)
 
 
-#: the modules that divide: `exact_chain` by a non-unit pivot, and
-#: `hochschild_lab` by the repeated-word factor of the Schouten dual model
-DIVIDING = {"exact_chain", "hochschild_lab"}
+#: the module that divides: every division goes through `exact_chain.exact_div`
+DIVIDING = {"exact_chain"}
 
 
 def test_only_the_dividing_modules_import_fractions():
