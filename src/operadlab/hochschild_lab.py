@@ -922,7 +922,9 @@ class SchoutenTruncation:
             raise ValueError("generators must be 0 or 2")
         self.monos.sort()
         self._wordblock = {}
+        self._words = {}  # raw word -> (weight, V[1] parity)
         self._pbasis = None
+        self._pblocks = None
 
     # -- letters -----------------------------------------------------------
     def weight(self, m):
@@ -963,15 +965,24 @@ class SchoutenTruncation:
                 for rest in self.raw_words(k - 1, wmax - self.weight(m)):
                     yield (m,) + rest
 
+    def word_info(self, w):
+        """(weight, V[1] parity) of a raw word, summed over its letters on
+        first use and kept."""
+        info = self._words.get(w)
+        if info is None:
+            info = self._words[w] = (sum(self.weight(m) for m in w),
+                                     sum(self.par(m) for m in w) % 2)
+        return info
+
     def word_weight(self, w):
-        return sum(self.weight(m) for m in w)
+        return self.word_info(w)[0]
 
     def word_par(self, w):
-        return sum(self.par(m) for m in w) % 2
+        return self.word_info(w)[1]
 
     def comp_par(self, w):
         """Parity of the word as a component of P (one extra shift)."""
-        return (self.word_par(w) + 1) % 2
+        return 1 - self.word_info(w)[1]
 
     def word_block(self, k):
         """(basis words, reducer) of the shuffle quotient at letter count k
@@ -1016,6 +1027,16 @@ class SchoutenTruncation:
         rec(0, [], 0, 0)
         self._pbasis = tuple(z for _, z in sorted(out))
         return self._pbasis
+
+    def p_block(self, words, letters):
+        """The elements of p_basis() with `words` components and `letters`
+        letters, in basis order; the basis is grouped once."""
+        if self._pblocks is None:
+            blocks = {}
+            for z in self.p_basis():
+                blocks.setdefault((len(z), self.z_letters(z)), []).append(z)
+            self._pblocks = {k: tuple(b) for k, b in blocks.items()}
+        return self._pblocks.get((words, letters), ())
 
     def koszul_sort(self, words):
         """(sign, words sorted by (length, word)) with the Koszul sign of the
@@ -1182,6 +1203,7 @@ class SchoutenDualModel:
         self._split = {}  # basis word -> its standard factorization (u, v)
         self._std = {}    # basis word w -> P_w over the word duals
         self._rw = {}     # basis word w -> w* as a combination of the P_v
+        self._mult = {}   # sorted z -> _mult_factor(z)
         self._build_bracket()
         self._build_duals()
 
@@ -1220,33 +1242,27 @@ class SchoutenDualModel:
         ctx = self.ctx
         if sum(len(w) for w in words) > ctx.lcap:
             return None
-        if sum(ctx.word_weight(w) for w in words) > ctx.cap:
+        info = ctx.word_info
+        if sum(info(w)[0] for w in words) > ctx.cap:
             return None
         return ctx.koszul_sort(words)
 
-    def mulP(self, x, y):
-        out = {}
-        for z1, c1 in x.items():
-            for z2, c2 in y.items():
-                r = self.sort_mono(list(z1) + list(z2))
-                if r is None:
-                    continue
-                s, z = r
-                vec_acc(out, z, s * c1 * c2)
-        return out
-
-    @staticmethod
-    def _mult_factor(z):
+    def _mult_factor(self, z):
         """Product of the factorials of the multiplicities in sorted z."""
-        return prod(_factorial(len(list(run)))
-                    for _, run in itertools.groupby(z))
+        f = self._mult.get(z)
+        if f is None:
+            f = self._mult[z] = prod(_factorial(len(list(run)))
+                                     for _, run in itertools.groupby(z))
+        return f
 
     def g2p(self, x):
         return vec_clean({z: exact_div(c, self._mult_factor(z))
                           for z, c in x.items()})
 
     def p2g(self, x):
-        return vec_clean({z: c * self._mult_factor(z) for z, c in x.items()})
+        return vec_clean({z: exact_div(c.numerator * self._mult_factor(z),
+                                       c.denominator)
+                          for z, c in x.items()})
 
     def leibniz(self, x, b, right):
         """{x, b*} (right) or {b*, x} (not right) for x in product rep and b
@@ -1352,8 +1368,13 @@ class SchoutenDualModel:
                 if not fw:
                     continue
                 koz = sum(self.q(z[r]) for r in range(i)) * pphi
-                t = self.mulP(self.mulP({z[:i]: 1}, fw), {z[i + 1:]: 1})
-                vec_axpy(out, (-1) ** (koz % 2) * c, t)
+                sc = (-1) ** (koz % 2) * c
+                pre, post = z[:i], z[i + 1:]
+                # one Koszul sort of z[:i] . fw . z[i+1:] per term of fw
+                for z2, c2 in fw.items():
+                    r = self.sort_mono(pre + z2 + post)
+                    if r is not None:
+                        vec_acc(out, r[1], sc * r[0] * c2)
         return out
 
     # -- transposes ---------------------------------------------------------
@@ -1366,6 +1387,8 @@ class SchoutenDualModel:
                 vec_acc(T.setdefault(z0, {}), z, c)
         T.letter_columns = {m: self.g2p(T[((m,),)]) for m in self.ctx.monos
                             if ((m,),) in T}
+        T.column_letters = {m: {l for z in col for w in z for l in w}
+                            for m, col in T.letter_columns.items()}
         return T
 
     def apply_T(self, T, x_g):
@@ -1377,16 +1400,23 @@ class SchoutenDualModel:
     def func_to_gens(self, f):
         """Functional f, a vector over (z, letter) labels, transposed to
         generator values."""
-        gv = {}
-        for (z, v), c in f.items():
-            vec_acc(gv.setdefault(v, {}), z, c)
-        return {v: self.g2p(el) for v, el in gv.items() if el}
+        return {v: self.g2p(el) for v, el in _letter_values(f).items()}
+
+
+def _letter_values(f):
+    """A functional f, a vector over (z, letter) labels, as its value at
+    each letter: a gamma-rep element per letter."""
+    out = {}
+    for (z, v), c in f.items():
+        vec_acc(out.setdefault(v, {}), z, c)
+    return {v: el for v, el in out.items() if el}
 
 
 class _Transpose(dict):
     """A transposed operator z0 -> gamma-rep element.  `letter_columns`
     keeps, for each letter m, the column of the one-letter element ((m,),)
-    in product rep: hom_differential reads it for every functional."""
+    in product rep, and `column_letters` the letters its words contain:
+    hom_differential reads both for every functional."""
 
 
 def functional_parity(model, z, v):
@@ -1410,18 +1440,17 @@ def hom_differential(model, T, f):
     if not parities:
         return {}
     parity, = parities
-    gv = model.func_to_gens(f)
+    values = _letter_values(f)
+    gv = {v: model.g2p(el) for v, el in values.items()}
     memo = {}
     out = {}
     sg = (-1) ** parity
     for m in model.ctx.monos:
-        # Phi_f of the one-letter element is zero unless f takes a value
-        # at m
-        G = (model.apply_T(T, model.p2g(model.phi({((m,),): 1}, gv, parity,
-                                                  memo)))
-             if m in gv else {})
+        # Phi_f of the one-letter element ((m,),) is f's value at m
+        G = model.apply_T(T, values[m]) if m in values else {}
+        # phi sends a column none of whose words has a letter in gv to 0
         col = T.letter_columns.get(m)
-        if col:
+        if col and not T.column_letters[m].isdisjoint(gv):
             vec_axpy(G, -sg, model.p2g(model.phi(col, gv, parity, memo)))
         out.update(((z, m), c) for z, c in G.items())
     return out
@@ -1511,11 +1540,7 @@ def _row_basis(ctx, words, extra_letters, weight_max):
     """Basis functionals (z, v): z with `words` components and
     words+extra_letters letters, support weight <= weight_max."""
     out = []
-    for z in ctx.p_basis():
-        if len(z) != words:
-            continue
-        if ctx.z_letters(z) != words + extra_letters:
-            continue
+    for z in ctx.p_block(words, words + extra_letters):
         if ctx.z_weight(z) > weight_max:
             continue
         for v in ctx.monos:
@@ -1543,9 +1568,7 @@ def e1_representative(ctx, v, a, b):
         raise HochschildError("at most one odd cogenerator power")
     k = a + b
     out = {}
-    for z in ctx.p_basis():
-        if len(z) != k or ctx.z_letters(z) != k:
-            continue
+    for z in ctx.p_block(k, k):
         letters = [w[0] for w in z]
         assigns = [None] if b == 0 else list(range(k))
         for ix in assigns:

@@ -512,6 +512,36 @@ def test_p_basis_is_shared_with_dual_model():
     assert SchoutenDualModel(ctx).P is ctx.p_basis()
 
 
+def test_word_table_matches_the_letter_sums():
+    # a letter u^p xi^e has weight p + e and V[1] parity 1 - e
+    def sums(w):
+        parity = sum(1 - e for _, e in w) % 2
+        return {"word_weight": sum(p + e for p, e in w),
+                "word_par": parity, "comp_par": 1 - parity}
+
+    for name in ("word_weight", "word_par", "comp_par"):
+        ctx = SchoutenTruncation(4, 4)
+        words = [w for k in range(1, ctx.lcap + 1)
+                 for w in ctx.raw_words(k, ctx.cap)]
+        # the first query fills the table, the second reads it
+        for _ in range(2):
+            for w in words:
+                assert getattr(ctx, name)(w) == sums(w)[name], (name, w)
+
+
+@pytest.mark.parametrize("caps, generators", [
+    ((3, 3), 2), ((4, 4), 2), ((4, 4), 0)])
+def test_p_blocks_group_the_basis(caps, generators):
+    ctx = SchoutenTruncation(*caps, generators=generators)
+    shapes = {(len(z), ctx.z_letters(z)) for z in ctx.p_basis()}
+    for words in range(ctx.lcap + 2):
+        for letters in range(ctx.lcap + 2):
+            assert list(ctx.p_block(words, letters)) == [
+                z for z in ctx.p_basis()
+                if (len(z), ctx.z_letters(z)) == (words, letters)]
+    assert sum(len(ctx.p_block(*s)) for s in shapes) == len(ctx.p_basis())
+
+
 def test_coderivations_square_and_anticommute():
     rep = extension_report(3, 3)
     assert rep["d_product_squares_to_zero"]
@@ -660,12 +690,17 @@ def test_dual_model_keeps_integer_coefficients():
         for w in ctx.raw_words(k, ctx.cap):
             exact.extend(ctx.reduce_word(w).values())
     exact.extend(coefficients(model._rw))
+    assert all(type(c) in (int, F) for c in exact)
+    # an integral coefficient of [d, f] is an int, never Fraction(n, 1)
+    commutators = []
     for z in model.P:
         for v in ctx.monos:
             for T in (Tm, Tb):
-                exact.extend(
+                commutators.extend(
                     hl.hom_differential(model, T, {(z, v): 1}).values())
-    assert all(type(c) in (int, F) for c in exact)
+    assert commutators
+    assert all(type(c) is (int if c.denominator == 1 else F)
+               for c in commutators)
     for z in model.P:
         x = {z: 1}
         g = model.g2p(x)
@@ -729,8 +764,12 @@ def _ref_hom_differential(model, T, f):
     return out
 
 
-def test_hom_differential_matches_the_per_call_loop():
-    ctx = SchoutenTruncation(3, 3)
+@pytest.mark.parametrize("caps, generators", [((3, 3), 2), ((4, 4), 0)])
+def test_hom_differential_matches_the_per_call_loop(caps, generators):
+    # the reference sends the one-letter term through phi and scans every
+    # letter column, where hom_differential reads f and skips the columns
+    # that share no letter with f
+    ctx = SchoutenTruncation(*caps, generators=generators)
     model = SchoutenDualModel(ctx)
     for dP in (schouten_d_product, schouten_d_bracket):
         T = model.transpose(lambda z: dP(ctx, z))
