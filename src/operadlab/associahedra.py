@@ -38,8 +38,7 @@ from .exact_chain import (
 )
 from .operad_core import (
     FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
-    format_tree, graft, graft_tree, leaf_labels, relabel, tree_arity,
-    tree_degree,
+    format_tree, graft, leaf_labels, plug, relabel, tree_arity, tree_degree,
 )
 
 
@@ -252,8 +251,14 @@ def facets(n: int) -> dict:
         p = n + 1 - q
         cells_p, cells_q = decompose(p).cells, decompose(q).cells
         for l in range(1, p + 1):
-            out[(p, q, l)] = frozenset(graft_tree(a, b, l)[1]
-                                       for a in cells_p for b in cells_q)
+            # each inner cell relabeled once per slot; a set needs no sign
+            shift = {k: l + k - 1 for k in range(1, q + 1)}
+            blocks = [Leaf(k if k < l else k + q - 1) for k in range(1, p + 1)]
+            face = set()
+            for b in cells_q:
+                blocks[l - 1] = relabel(b, shift)
+                face.update(plug(a, blocks)[0] for a in cells_p)
+            out[(p, q, l)] = frozenset(face)
     return out
 
 

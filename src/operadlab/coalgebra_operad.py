@@ -8,9 +8,10 @@ labels while every structure map touches only a few of them.
 
 The comultiplication on a product (multi-vertex) cell is computed
 vertex-wise: choose a comultiplication component at every vertex, collect
-the first components into a same-shape tree, substitute the second
-components operadically, and apply the Koszul interleaving sign of
-regrouping the per-vertex pairs.
+the first components into a same-shape tree, substitute every second
+component into its vertex at once (`operad_core.substitute`, which builds
+each output tree once with its one Koszul sign), and apply the Koszul
+interleaving sign of regrouping the per-vertex pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .exact_chain import (GradedMap, GradedSpace, Scalar, degree_add,
                           vec_acc, vec_axpy, vec_clean)
 # graft is kept for perfbench's test_alias_bindings_are_wrapped_and_counted
 from .operad_core import (Leaf, Node, OperadElement, corolla, graft,
-                          replace_vertex, transpose_sign, tree_degree,
+                          substitute, transpose_sign, tree_degree,
                           tree_vertices)
 from . import associahedra as ah
 
@@ -259,9 +260,7 @@ def delta_cell(t) -> dict:
         out = {(t, t): 1}
         _delta_cell_cache[t] = out
         return out
-    verts = tree_vertices(t)
-    choice_lists = [_delta_gen(sym) for _, sym in verts]
-    pos_by_path = {path: k for k, (path, _) in enumerate(verts)}
+    choice_lists = [_delta_gen(sym) for _, sym in tree_vertices(t)]
     out: dict = {}
 
     def emit(coeff, firsts, seconds):
@@ -269,26 +268,18 @@ def delta_cell(t) -> dict:
         # (ox_i g'_i) ox (ox_i e''_i)
         sign = transpose_sign([(g.degree, e.degree())
                                for g, e in zip(firsts, seconds)])
+        it = iter(firsts)
 
-        def rebuild(u, path):
+        def decorate(u):
             if isinstance(u, Leaf):
                 return u
-            return Node(firsts[pos_by_path[path]],
-                        tuple(rebuild(c, path + (k,))
-                              for k, c in enumerate(u.children)))
-        t1 = rebuild(t, ())
-        # second component: operadic substitution, later vertices first so
-        # that earlier paths stay valid
-        acc = OperadElement.from_tree(t)
-        for k in range(len(verts) - 1, -1, -1):
-            path = verts[k][0]
-            acc = acc.map_trees(
-                lambda tr, p=path, v=seconds[k]: replace_vertex(tr, p, v))
-        for t2, c2 in acc.terms.items():
+            return Node(next(it), [decorate(c) for c in u.children])
+        t1 = decorate(t)
+        for t2, c2 in substitute(t, seconds).terms.items():
             vec_acc(out, (t1, t2), coeff * sign * c2)
 
     def walk(i, coeff, firsts, seconds):
-        if i == len(verts):
+        if i == len(choice_lists):
             emit(coeff, firsts, seconds)
             return
         for c, g1, e2 in choice_lists[i]:

@@ -8,10 +8,14 @@ labels in order; `nverts`, `nleaves`, `total_degree`), so a tree whose leaf
 labels are read as letters is also a tensor expression.
 
 Sign conventions.  A decorated tree stands for the tensor of its vertex
-decorations in depth-first (preorder) order.  Grafting and vertex
-replacement therefore carry the Koszul signs of reordering that tensor, and
-a permuted leaf labeling contributes its sign only upon evaluation on graded
-arguments.
+decorations in depth-first (preorder) order.  Every composition is one
+simultaneous substitution: each vertex is replaced by a tree of its arity,
+and the block of each child, already substituted, moves from after its
+parent's replacement to the leaf it is plugged into, past the replacement
+vertices that follow that leaf in preorder.  Grafting is the substitution
+that keeps every outer vertex and replaces a leaf, and vertex replacement
+the one that keeps every vertex but one.  A permuted leaf labeling
+contributes its sign only upon evaluation on graded arguments.
 """
 
 from __future__ import annotations
@@ -165,20 +169,27 @@ def _check_labels(t: Tree):
         raise CompositionError(f"leaf labels {labels} are not a permutation of 1..n")
 
 
-def _degree_after_leaves(t: Tree) -> dict:
-    """Leaf label -> total degree of the vertices after that leaf in preorder."""
-    total = tree_degree(t)
-    after = {}
-    before = 0
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Leaf):
-            after[u.label] = total - before
-        else:
-            before += u.symbol.degree
-            stack.extend(reversed(u.children))
-    return after
+def plug(s: Tree, blocks):
+    """(tree, odd): s with its leaf labeled j replaced by blocks[j - 1].
+
+    odd is the parity of the Koszul sign of moving every block, from after
+    the tensor of s, to its leaf: past the vertices of s that follow that
+    leaf in preorder.  This is the one leaf-plugging walk of grafting,
+    substitution and the free differential.
+    """
+    if isinstance(s, Leaf):
+        return blocks[s.label - 1], 0
+    kids = []
+    odd = later = 0  # later: parity of the vertices of s in later children
+    for c in reversed(s.children):
+        t, o = (blocks[c.label - 1], 0) if isinstance(c, Leaf) \
+            else plug(c, blocks)
+        kids.append(t)
+        # the blocks below c move past the vertices of the later children
+        odd ^= o ^ ((t.total_degree - c.total_degree) & later)
+        later ^= c.total_degree & 1
+    kids.reverse()
+    return Node(s.symbol, kids), odd
 
 
 def graft_tree(outer: Tree, inner: Tree, i: int):
@@ -191,23 +202,10 @@ def graft_tree(outer: Tree, inner: Tree, i: int):
     m = tree_arity(outer)
     if not 1 <= i <= m:
         raise CompositionError(f"position {i} out of range for arity {m}")
-    d_inner = tree_degree(inner)
-    after = _degree_after_leaves(outer)[i]
-    sign = -1 if (d_inner % 2) and (after % 2) else 1
-
-    inner_rel = relabel(inner, {l: i + l - 1 for l in leaf_labels(inner)})
-
-    def mapping_outer(l):
-        return l if l < i else l + n - 1
-
-    def build(u):
-        if isinstance(u, Leaf):
-            if u.label == i:
-                return inner_rel
-            return Leaf(mapping_outer(u.label))
-        return Node(u.symbol, tuple(build(c) for c in u.children))
-
-    return sign, build(outer)
+    blocks = [Leaf(l if l < i else l + n - 1) for l in range(1, m + 1)]
+    blocks[i - 1] = relabel(inner, {l: i + l - 1 for l in inner.letters})
+    t, odd = plug(outer, blocks)
+    return (-1 if odd else 1), t
 
 
 class OperadElement:
@@ -312,54 +310,53 @@ def graft(outer: OperadElement, inner: OperadElement, i: int) -> OperadElement:
     return OperadElement(outer.arity + inner.arity - 1, terms)
 
 
+def substitute(tree: Tree, images) -> OperadElement:
+    """Replace every vertex of tree at once: the k-th vertex in preorder by
+    images[k], an element of its arity whose leaf j stands for the vertex's
+    child j.
+
+    Each output tree is built once, with one Koszul sign: every child block,
+    already substituted, moves past the vertices of its parent's
+    replacement that follow its leaf in preorder.
+    """
+    if len(images) != tree.nverts:
+        raise CompositionError("substitution needs one image per vertex")
+    it = iter(images)
+
+    def sub(u):
+        # u's subtree with its vertices replaced, as {tree: coeff}
+        if isinstance(u, Leaf):
+            return {u: 1}
+        img = next(it)
+        kids = [sub(c).items() for c in u.children]
+        out = {}
+        for s, c in img.terms.items():
+            if s.nleaves != len(kids):
+                raise CompositionError("replacement arity mismatch")
+            for combo in itertools.product(*kids):
+                coeff = c
+                for _, cb in combo:
+                    coeff *= cb
+                t, odd = plug(s, [b for b, _ in combo])
+                vec_acc(out, t, -coeff if odd else coeff)
+        return out
+
+    return OperadElement(tree.nleaves, sub(tree))
+
+
 def replace_vertex(tree: Tree, path: tuple, value: OperadElement) -> OperadElement:
     """Replace the vertex at `path` by an equal-arity element.
 
-    Koszul signs: the value's tensor block replaces the vertex symbol in
-    preorder position; each child subtree block then moves to the position
-    of the corresponding leaf inside the replacement tree.
+    This is `substitute` with every other vertex replaced by its own
+    corolla.  It keeps its name as a boundary that the benchmark's tracer
+    (perfbench/tracing.py) and tests/test_layers.py name.
     """
-    def subtree(u, p):
-        for i in p:
-            u = u.children[i]
-        return u
-
-    target = subtree(tree, path)
-    if not isinstance(target, Node):
+    verts = tree_vertices(tree)
+    if path not in {p for p, _ in verts}:
         raise CompositionError("path does not point at a vertex")
-    r = len(target.children)
-    odd_children = [j for j, c in enumerate(target.children, 1)
-                    if tree_degree(c) % 2]
-
-    terms = {}
-    for s, c in value.terms.items():
-        if tree_arity(s) != r:
-            raise CompositionError("replacement arity mismatch")
-        # interleaving sign: child block j moves past replacement vertices
-        # occurring after leaf j in s's preorder; even blocks move freely
-        sign = 1
-        if odd_children:
-            after = _degree_after_leaves(s)
-            if sum(after[j] for j in odd_children) % 2:
-                sign = -1
-
-        def build_repl(u):
-            if isinstance(u, Leaf):
-                return target.children[u.label - 1]
-            return Node(u.symbol, tuple(build_repl(ch) for ch in u.children))
-
-        replaced = build_repl(s)
-
-        def rebuild(u, p):
-            if p == path:
-                return replaced
-            if isinstance(u, Leaf):
-                return u
-            return Node(u.symbol, tuple(rebuild(ch, p + (i,))
-                                        for i, ch in enumerate(u.children)))
-
-        vec_acc(terms, rebuild(tree, ()), sign * c)
-    return OperadElement(tree_arity(tree), terms)
+    return substitute(tree, [value if p == path else
+                             OperadElement(sym.arity, {corolla(sym): 1})
+                             for p, sym in verts])
 
 
 class FreeDifferential:
@@ -407,19 +404,35 @@ class FreeDifferential:
     def __call__(self, e: OperadElement) -> OperadElement:
         terms = {}
         for t, c in e.terms.items():
-            if t.nverts == 1 and t.letters == tuple(range(1, t.nleaves + 1)):
-                # a corolla: replacing its vertex gives the value itself
-                vec_axpy(terms, c, self.value(t.symbol).terms)
-                continue
-            before = 0
-            for path, sym in tree_vertices(t):
-                dval = self.value(sym)
-                if not dval.is_zero():
-                    sign = -1 if (before % 2) else 1
-                    vec_axpy(terms, sign * c,
-                             replace_vertex(t, path, dval).terms)
-                before += sym.degree
+            vec_axpy(terms, c, self._of_tree(t))
         return OperadElement(e.arity, terms)
+
+    def _of_tree(self, t: Tree) -> dict:
+        """d(t) as {tree: coeff}, by recursion over the children: the root's
+        value with the children plugged into its leaves, then each child's
+        differential in its place, signed by the degree of the vertices
+        before it in preorder."""
+        if isinstance(t, Leaf):
+            return {}
+        val = self.value(t.symbol).terms
+        if t.nverts == 1 and t.letters == tuple(range(1, t.nleaves + 1)):
+            # a corolla: plugging its leaves back gives the value itself
+            return val
+        kids = t.children
+        out = {}
+        for s, c in val.items():
+            u, odd = plug(s, kids)
+            vec_acc(out, u, -c if odd else c)
+        before = t.symbol.degree
+        for j, kid in enumerate(kids):
+            if kid.nverts:
+                head, tail = kids[:j], kids[j + 1:]
+                sign = -1 if before & 1 else 1
+                for x, cx in self._of_tree(kid).items():
+                    vec_acc(out, Node(t.symbol, head + (x,) + tail),
+                            sign * cx)
+            before += kid.total_degree
+        return out
 
 
 # ---------------------------------------------------------------------------

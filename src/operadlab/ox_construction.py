@@ -44,7 +44,8 @@ from .exact_chain import (Complex, GradedMap, GradedSpace, Scalar, span,
 from .operad_core import (
     GeneratorSymbol, Leaf, Node, OperadElement, ShiftedElement, corolla,
     format_tree, graft, parity_sign, perm_sgn, relabel, signed_shuffles,
-    transpose_sign, tree_arity, tree_degree, FreeDifferential,
+    substitute, transpose_sign, tree_arity, tree_degree, tree_vertices,
+    FreeDifferential,
 )
 
 
@@ -855,23 +856,8 @@ def _to_B_image(sym: GeneratorSymbol) -> OperadElement:
 def to_B(e: OperadElement) -> OperadElement:
     """The counit-induced morphism O(A) -> O(As): each cell generator goes
     to its counit value times the comb expansion of the multiplication."""
-    return e.map_trees(lambda t: _subst_tree(t, _to_B_image))
-
-
-def _subst_tree(t, img) -> OperadElement:
-    labels = t.letters
-
-    def go(u):
-        if isinstance(u, Leaf):
-            return OperadElement.identity()
-        res = img(u.symbol)
-        for i in range(len(u.children) - 1, -1, -1):
-            res = graft(res, go(u.children[i]), i + 1)
-        return res
-
-    res = go(t)
-    perm = {p + 1: labels[p] for p in range(len(labels))}
-    return res.permute(perm)
+    return e.map_trees(lambda t: substitute(
+        t, [_to_B_image(sym) for _, sym in tree_vertices(t)]))
 
 
 def holie_vanishing(k: int, rank: int, parities) -> dict:

@@ -12,7 +12,7 @@ from operadlab.associahedra import (
 )
 from operadlab.exact_chain import span, vec_acc
 from operadlab.operad_core import (
-    FreeDifferential, Leaf, Node, OperadElement, corolla,
+    FreeDifferential, Leaf, Node, OperadElement, corolla, graft_tree,
 )
 
 
@@ -218,6 +218,18 @@ def test_intersections_agree():
         assert shared, f"no shared intersection cells at n={n}"
         for t in shared:
             boundary(t)  # well-defined independent of the facet
+
+
+def test_facets_match_grafted_cells():
+    for n in range(0, 7):
+        want = {}
+        for q in range(2, n):
+            p = n + 1 - q
+            for l in range(1, p + 1):
+                want[(p, q, l)] = frozenset(
+                    graft_tree(a, b, l)[1]
+                    for a in decompose(p).cells for b in decompose(q).cells)
+        assert facets(n) == want, n
 
 
 def test_facet_counts():

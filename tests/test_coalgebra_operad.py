@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ from operadlab.coalgebra_operad import (
     coalgebra_of_boundary, cone, cone_map, counit_morphism, delta_cell,
     delta_chain, ground_coalgebra, _t,
 )
-from operadlab.exact_chain import GradedMap, GradedSpace
-from operadlab.operad_core import Leaf, OperadElement, corolla, tree_degree
+from operadlab.exact_chain import GradedMap, GradedSpace, vec_acc
+from operadlab.operad_core import (
+    Leaf, Node, OperadElement, corolla, transpose_sign, tree_degree,
+    tree_vertices,
+)
 
 F = Fraction
 
@@ -83,6 +87,92 @@ def test_A3_edge_coproduct():
     apex = next(t for t in cx.cells_of_dimension(0) if t.nverts == 1)
     edge = corolla(ah.cone_symbol(v))
     assert delta_cell(edge) == {(edge, v): F(1), (apex, edge): F(1)}
+
+
+def _ref_replace_vertex(tree, path, value):
+    """One vertex replaced, the whole tree rebuilt for every term, with the
+    interleaving sign of each child block read off the replacement."""
+    target = tree
+    for i in path:
+        target = target.children[i]
+    terms = {}
+    for s, c in value.terms.items():
+        before = 0
+        odd = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Leaf):
+                child = target.children[u.label - 1]
+                odd += tree_degree(child) * (tree_degree(s) - before)
+            else:
+                before += u.symbol.degree
+                stack.extend(reversed(u.children))
+
+        def build(u):
+            if isinstance(u, Leaf):
+                return target.children[u.label - 1]
+            return Node(u.symbol, tuple(build(ch) for ch in u.children))
+
+        def rebuild(u, p):
+            if p == path:
+                return build(s)
+            if isinstance(u, Leaf):
+                return u
+            return Node(u.symbol, tuple(rebuild(ch, p + (i,))
+                                        for i, ch in enumerate(u.children)))
+
+        vec_acc(terms, rebuild(tree, ()), (-1) ** (odd % 2) * c)
+    return OperadElement(tree.nleaves, terms)
+
+
+def _ref_delta_cell(t, memo):
+    """The vertex-wise coproduct with the second component built by
+    replacing one vertex at a time, later vertices first."""
+    if t in memo:
+        return memo[t]
+    if isinstance(t, Leaf):
+        return {(t, t): 1}
+    verts = tree_vertices(t)
+    choices = []
+    for _, sym in verts:
+        own = (1, sym, OperadElement.from_tree(corolla(sym)))
+        if not ah.is_cone(sym):
+            choices.append([own])
+            continue
+        cs = [(c, ah.cone_symbol(x), OperadElement.from_tree(y))
+              for (x, y), c in _ref_delta_cell(sym.payload, memo).items()]
+        choices.append(cs + [(1, ah.apex_symbol(sym.arity), own[2])])
+    out = {}
+    for combo in itertools.product(*choices):
+        coeff = 1
+        for c, _, _ in combo:
+            coeff *= c
+        sign = transpose_sign([(g.degree, e.degree()) for _, g, e in combo])
+        firsts = {path: g for (path, _), (_, g, _) in zip(verts, combo)}
+
+        def decorate(u, p):
+            if isinstance(u, Leaf):
+                return u
+            return Node(firsts[p], tuple(decorate(c, p + (k,))
+                                         for k, c in enumerate(u.children)))
+
+        t1 = decorate(t, ())
+        acc = OperadElement.from_tree(t)
+        for (path, _), (_, _, e) in reversed(list(zip(verts, combo))):
+            acc = acc.map_trees(
+                lambda tr, p=path, v=e: _ref_replace_vertex(tr, p, v))
+        for t2, c2 in acc.terms.items():
+            vec_acc(out, (t1, t2), coeff * sign * c2)
+    memo[t] = out
+    return out
+
+
+def test_delta_cell_matches_one_vertex_at_a_time():
+    memo = {}
+    for n in range(0, 7):
+        for t in ah.decompose(n).cells:
+            assert delta_cell(t) == _ref_delta_cell(t, memo), t
 
 
 def test_A_invariants_small():

@@ -10,9 +10,10 @@ from operadlab import ox_construction as ox
 from operadlab.exact_chain import vec_acc
 from operadlab.operad_core import (
     CompositionError, FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
-    graft, leaf_labels, parity_sign, perm_sgn, replace_vertex,
-    shift_degree, shift_operad, signed_shuffles, suspension_sign,
-    transpose_sign, tree_degree, tree_vertices, ShiftedElement,
+    graft, graft_tree, leaf_labels, parity_sign, perm_sgn, replace_vertex,
+    shift_degree, shift_operad, signed_shuffles, substitute,
+    suspension_sign, transpose_sign, tree_degree, tree_vertices,
+    ShiftedElement,
 )
 
 C2 = GeneratorSymbol("c", 2, 0)
@@ -361,6 +362,122 @@ def test_free_differential_matches_the_vertex_replacement_sum():
         dg = ox.diff(el(corolla(g)))
         assert dg == _ref_free_differential(ox.diff, el(corolla(g)))
         assert ox.diff(dg) == _ref_free_differential(ox.diff, dg)
+
+
+U1 = GeneratorSymbol("u", 1, 1)
+
+
+def _random_rule(rng):
+    """Random differential values for the random symbols below degree 2: a
+    corolla one degree up with permuted leaves, the symbol under an odd
+    unary vertex, and the symbol with an odd unary vertex above a leaf."""
+    values = {}
+    for g in RANDOM_SYMBOLS:
+        if g.degree == 2:
+            continue
+        a = g.arity
+        up = GeneratorSymbol(f"r{a}_{g.degree + 1}", a, g.degree + 1)
+        v = el(corolla(up, rng.sample(range(1, a + 1), a)), rng.choice((1, -2)))
+        v = v.add(el(Node(U1, (corolla(g),)), rng.choice((1, -1, 3))))
+        if a:
+            kids = [Leaf(l) for l in range(1, a + 1)]
+            j = rng.randrange(a)
+            kids[j] = Node(U1, (kids[j],))
+            v = v.add(el(Node(g, tuple(kids)), rng.choice((1, -1))))
+        values[g] = v
+    return FreeDifferential(values.get)
+
+
+def _odd_subtree(rng, depth):
+    while True:
+        t = _random_shape(rng, depth)
+        if t.total_degree % 2:
+            return t
+
+
+def _deep_odd_tree(rng):
+    """A random labeled tree with an odd vertex at depth 2 whose parent has
+    an odd earlier sibling."""
+    root = rng.choice([g for g in RANDOM_SYMBOLS if g.arity >= 2])
+    mid = rng.choice([g for g in RANDOM_SYMBOLS if g.arity >= 1])
+    low = rng.choice([g for g in RANDOM_SYMBOLS if g.degree % 2])
+    deep = Node(low, tuple(_random_shape(rng, 1) for _ in range(low.arity)))
+    kids = [_odd_subtree(rng, 2),
+            Node(mid, (deep,) + tuple(_random_shape(rng, 1)
+                                      for _ in range(mid.arity - 1)))]
+    kids += [_random_shape(rng, 2) for _ in range(root.arity - 2)]
+    return _labeled(rng, Node(root, tuple(kids)))
+
+
+def test_free_differential_recursion_on_deep_odd_trees():
+    rng = random.Random(11)
+    d = _random_rule(rng)
+    for _ in range(200):
+        x = el(_deep_odd_tree(rng))
+        assert d(x) == _ref_free_differential(d, x), x
+    # a sum whose trees share subtrees
+    t = _deep_odd_tree(rng)
+    x = el(t, 2).add(el(Node(t.symbol, t.children[::-1]), -1))
+    assert d(x) == _ref_free_differential(d, x)
+
+
+def _random_tree_of_arity(rng, r):
+    while True:
+        t = _random_shape(rng, 2)
+        if t.nleaves == r:
+            return _labeled(rng, t)
+
+
+def _ref_graft_tree(outer, inner, i):
+    n = len(leaf_labels(inner))
+
+    def shift(u, k):
+        if isinstance(u, Leaf):
+            return Leaf(u.label + k)
+        return Node(u.symbol, tuple(shift(c, k) for c in u.children))
+
+    def build(u):
+        if isinstance(u, Leaf):
+            if u.label == i:
+                return shift(inner, i - 1)
+            return Leaf(u.label if u.label < i else u.label + n - 1)
+        return Node(u.symbol, tuple(build(c) for c in u.children))
+
+    return build(outer)
+
+
+def test_substitute_matches_one_vertex_at_a_time_on_random_trees():
+    # the simultaneous substitution against replacing one vertex at a time,
+    # later vertices first, each with its explicit interleaving sign
+    rng = random.Random(5)
+    for _ in range(200):
+        tree = _deep_odd_tree(rng)
+        verts = tree_vertices(tree)
+        images = []
+        for _, sym in verts:
+            img = el(_random_tree_of_arity(rng, sym.arity), rng.choice((1, -1)))
+            if rng.random() < 0.5:
+                img = img.add(el(_random_tree_of_arity(rng, sym.arity), 2))
+            images.append(img)
+        want = el(tree)
+        for (path, _), img in reversed(list(zip(verts, images))):
+            terms = {}
+            for t, c in want.terms.items():
+                target = t
+                for i in path:
+                    target = target.children[i]
+                degs = [tree_degree(ch) for ch in target.children]
+                for s, cs in img.terms.items():
+                    vec_acc(terms, _substitute(t, path, s),
+                            _ref_replace_sign(s, degs) * c * cs)
+            want = OperadElement(want.arity, terms)
+        assert substitute(tree, images) == want, tree
+        outer, inner = images[0], images[-1]
+        for to in outer.terms:
+            for ti in inner.terms:
+                for i in range(1, len(leaf_labels(to)) + 1):
+                    assert graft_tree(to, ti, i)[1] == \
+                        _ref_graft_tree(to, ti, i)
 
 
 def test_shift_degree_examples():
