@@ -157,7 +157,7 @@ class CellComplex:
         self.apex = apex
         self.cone = cone
         self.cells = (*cone, apex, *cone.values())
-        degrees = {t: (tree_degree(t),) for t in self.cells}
+        degrees = {t: tree_degree(t) for t in self.cells}
         order = sorted(self.cells, key=lambda t: (-tree_degree(t), t.sort_key()))
         self.space = GradedSpace(order, degrees)
         cols = {}
@@ -168,7 +168,7 @@ class CellComplex:
                 val = self._cone_value(t.symbol.payload, cols)
                 _diff.define(t.symbol, val)
                 cols[t] = val.terms
-        self.d = GradedMap(self.space, self.space, (1,), cols)
+        self.d = GradedMap(self.space, self.space, 1, cols)
         self.complex = Complex(self.space, self.d)  # checks d*d = 0
         self._homology = None
         self._contractible = None

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .exact_chain import (GradedMap, GradedSpace, Scalar, degree_add,
-                          vec_acc, vec_axpy, vec_clean)
+from .exact_chain import (GradedMap, GradedSpace, Scalar, vec_acc, vec_axpy,
+                          vec_clean)
 # graft is kept for perfbench's test_alias_bindings_are_wrapped_and_counted
 from .operad_core import (Leaf, Node, OperadElement, corolla, graft,
                           substitute, transpose_sign, tree_degree,
@@ -98,7 +98,7 @@ class DgCoalgebra:
             for (a, b), c in self.delta.get(x, {}).items():
                 for a2, c2 in self.d.column(a).items():
                     vec_acc(rhs, (a2, b), c * c2)
-                sa = -1 if self.space.degree(a)[0] % 2 else 1
+                sa = -1 if self.space.degree(a) % 2 else 1
                 for b2, c2 in self.d.column(b).items():
                     vec_acc(rhs, (a, b2), sa * c * c2)
             if lhs != rhs:
@@ -150,8 +150,8 @@ def check_morphism(f: Mapping, source: DgCoalgebra, target: DgCoalgebra):
 
 def ground_coalgebra(label="1") -> DgCoalgebra:
     """The ground field as a coalgebra on one grouplike generator."""
-    sp = GradedSpace((label,), {label: (0,)})
-    d = GradedMap.zero(sp, sp, (1,))
+    sp = GradedSpace((label,), {label: 0})
+    d = GradedMap.zero(sp, sp, 1)
     return DgCoalgebra(sp, d, {label: {(label, label): 1}}, {label: 1})
 
 
@@ -180,8 +180,8 @@ def cone(a: DgCoalgebra) -> DgCoalgebra:
     labels.append(APEX)
     degrees = dict(a.space.degrees)
     for l in a.space.labels:
-        degrees[_t(l)] = degree_add(a.space.degree(l), (-1,))
-    degrees[APEX] = (0,)
+        degrees[_t(l)] = a.space.degree(l) - 1
+    degrees[APEX] = 0
     sp = GradedSpace(labels, degrees)
 
     entries = {l: a.d.column(l) for l in a.space.labels}
@@ -354,7 +354,7 @@ def coalgebra_of_boundary(n: int) -> DgCoalgebra:
     cx = ah.decompose(n)
     labels = [t for t in cx.space.labels if t.nverts >= 2]
     sp = GradedSpace(labels, {t: cx.space.degree(t) for t in labels})
-    d = GradedMap(sp, sp, (1,),
+    d = GradedMap(sp, sp, 1,
                   {t: {s: c for s, c in ah.boundary(t).terms.items()}
                    for t in labels})
     delta = {t: delta_cell(t) for t in labels}

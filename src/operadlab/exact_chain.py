@@ -4,9 +4,8 @@ Coefficients are exact rationals: a Python int while it is an integer, a
 Fraction only once a real division leaves a non-integral quotient.  Every
 division in the package goes through `exact_div`, so this is the one module
 that imports `fractions`.  Vectors are sparse dicts mapping basis labels to
-nonzero coefficients.  Degrees are integer
-tuples; the first component is the cohomological degree and determines
-Koszul parity.
+nonzero coefficients.  A degree is an int, the cohomological degree;
+its parity is the Koszul parity.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 Scalar = int | Fraction
-Degree = tuple  # tuple of ints
 Vector = dict   # label -> Scalar
 
 
@@ -74,10 +72,6 @@ def vec_scale(c, u: Vector) -> Vector:
     return {k: c * v for k, v in u.items()}
 
 
-def vec_is_zero(u: Vector) -> bool:
-    return not any(u.values())
-
-
 def vec_clean(u: Vector) -> Vector:
     return {k: v for k, v in u.items() if v}
 
@@ -85,49 +79,37 @@ def vec_clean(u: Vector) -> Vector:
 # ---------------------------------------------------------------------------
 # spaces
 
-def as_degree(d) -> Degree:
-    if isinstance(d, int):
-        return (d,)
-    return tuple(int(x) for x in d)
-
-
 class GradedSpace:
     """Finite free module with an ordered basis of opaque labels.
 
-    Each label carries an integer-tuple degree.  Label order is the ambient
-    order used for deterministic pivoting.
+    Each label carries an int degree.  Label order is the ambient order
+    used for deterministic pivoting.
     """
 
     def __init__(self, labels: Iterable, degrees: Mapping):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate basis labels")
-        self.degrees = {l: as_degree(degrees[l]) for l in self.labels}
+        self.degrees = {l: degrees[l] for l in self.labels}
+        if any(type(d) is not int for d in self.degrees.values()):
+            raise TypeError("a degree must be an int")
         self.index = {l: i for i, l in enumerate(self.labels)}
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def degree(self, label) -> Degree:
+    def degree(self, label) -> int:
         return self.degrees[label]
 
-    def labels_of_degree1(self, n: int) -> list:
-        return [l for l in self.labels if self.degrees[l][0] == n]
+    def labels_of_degree(self, n: int) -> list:
+        return [l for l in self.labels if self.degrees[l] == n]
 
     def __contains__(self, label):
         return label in self.index
 
     def __repr__(self):
         return f"GradedSpace(dim={self.dim})"
-
-
-def degree_add(a: Degree, b: Degree) -> Degree:
-    if len(a) < len(b):
-        a = a + (0,) * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + (0,) * (len(a) - len(b))
-    return tuple(x + y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +122,11 @@ class GradedMap:
     degrees differing exactly by `shift`.
     """
 
-    def __init__(self, source: GradedSpace, target: GradedSpace, shift,
+    def __init__(self, source: GradedSpace, target: GradedSpace, shift: int,
                  entries: Mapping, check: bool = True):
         self.source = source
         self.target = target
-        self.shift = as_degree(shift)
+        self.shift = shift
         self.entries = {}
         for src, col in entries.items():
             col = vec_clean(col)
@@ -154,7 +136,7 @@ class GradedMap:
                 raise SpaceMismatch(f"unknown source label {src!r}")
             self.entries[src] = col
             if check:
-                want = degree_add(source.degree(src), self.shift)
+                want = source.degree(src) + shift
                 for tgt in col:
                     if tgt not in target.index:
                         raise SpaceMismatch(f"unknown target label {tgt!r}")
@@ -164,13 +146,8 @@ class GradedMap:
                             f"{self.shift}")
 
     @classmethod
-    def zero(cls, source, target, shift=(0,)):
+    def zero(cls, source, target, shift=0):
         return cls(source, target, shift, {})
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space, (0,) * len(next(iter(space.degrees.values()), (0,))),
-                   {l: {l: 1} for l in space.labels}, check=False)
 
     def column(self, src) -> Vector:
         return dict(self.entries.get(src, {}))
@@ -188,29 +165,7 @@ class GradedMap:
             raise SpaceMismatch("compose: inner spaces disagree")
         entries = {src: self.apply(col) for src, col in other.entries.items()}
         return GradedMap(other.source, self.target,
-                         degree_add(self.shift, other.shift), entries,
-                         check=False)
-
-    def add(self, other: "GradedMap") -> "GradedMap":
-        if self.shift != other.shift:
-            raise SpaceMismatch("adding maps of different shift")
-        entries = {src: dict(col) for src, col in self.entries.items()}
-        for src, col in other.entries.items():
-            vec_axpy(entries.setdefault(src, {}), 1, col)
-        return GradedMap(self.source, self.target, self.shift, entries,
-                         check=False)
-
-    def scale(self, c) -> "GradedMap":
-        return GradedMap(self.source, self.target, self.shift,
-                         {s: vec_scale(c, col) for s, col in self.entries.items()},
-                         check=False)
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(col) for col in self.entries.values())
-
-    def rank(self) -> int:
-        return span(map(self.entries.get, self.source.labels),
-                    self.target.index).rank
+                         self.shift + other.shift, entries, check=False)
 
     def __repr__(self):
         return f"GradedMap(shift={self.shift}, nnz_cols={len(self.entries)})"
@@ -218,6 +173,16 @@ class GradedMap:
 
 # ---------------------------------------------------------------------------
 # elimination
+
+def _int_entries(vec: Vector) -> Vector:
+    """vec, with each integral Fraction entry made an int in place.  Echelon
+    calls it on the rows it back-reduces: a sum of Fractions in vec_axpy
+    stays a Fraction even when it is an integer."""
+    for k, c in vec.items():
+        if type(c) is Fraction and c.denominator == 1:
+            vec[k] = c.numerator
+    return vec
+
 
 class Echelon:
     """Incremental Gaussian elimination with deterministic pivoting.
@@ -257,7 +222,7 @@ class Echelon:
         combo = None if tag is None else {tag: 1}
         red = self.reduce(vec, combo)
         if not red:
-            self.relation = combo
+            self.relation = combo and _int_entries(combo)
             return None
         piv = min(red, key=self.index.__getitem__)
         lead = red[piv]
@@ -268,8 +233,10 @@ class Echelon:
             c = r.get(piv)
             if c:
                 vec_axpy(r, -c, row)
+                _int_entries(r)
                 if combo is not None:
                     vec_axpy(self.combos[p], -c, combo)
+                    _int_entries(self.combos[p])
         self.rows[piv] = row
         if combo is not None:
             self.combos[piv] = combo
@@ -313,7 +280,7 @@ class Complex:
     """Cochain complex: one graded space and a shift-(+1) differential."""
 
     def __init__(self, space: GradedSpace, d: GradedMap, check: bool = True):
-        if d.shift[0] != 1:
+        if d.shift != 1:
             raise ValueError("differential must have degree 1")
         self.space = space
         self.d = d
@@ -325,8 +292,8 @@ class Complex:
 
         Representatives are cycles spanning a complement of the image of d.
         """
-        labels = self.space.labels_of_degree1(degree)
-        below = self.space.labels_of_degree1(degree - 1)
+        labels = self.space.labels_of_degree(degree)
+        below = self.space.labels_of_degree(degree - 1)
         cycles = kernel_basis(self.d.entries, labels, self.space.index)
         image = span(map(self.d.entries.get, below), self.space.index)
         reps = []
@@ -337,10 +304,10 @@ class Complex:
         return len(reps), reps
 
     def rank_by_degree(self) -> dict:
-        """Rank of d restricted to each source degree (first component)."""
+        """Rank of d restricted to each source degree."""
         by_deg: dict = {}
         for l in self.space.labels:
-            by_deg.setdefault(self.space.degree(l)[0], []).append(l)
+            by_deg.setdefault(self.space.degree(l), []).append(l)
         return {n: span(map(self.d.entries.get, labels),
                         self.space.index).rank
                 for n, labels in by_deg.items()}
@@ -350,7 +317,7 @@ class Complex:
         ranks = self.rank_by_degree()
         by_deg: dict = {}
         for l in self.space.labels:
-            d = self.space.degree(l)[0]
+            d = self.space.degree(l)
             by_deg[d] = by_deg.get(d, 0) + 1
         return {n: cnt - ranks.get(n, 0) - ranks.get(n - 1, 0)
                 for n, cnt in by_deg.items()}
@@ -358,7 +325,7 @@ class Complex:
     def euler_characteristic(self) -> int:
         chi = 0
         for l in self.space.labels:
-            chi += (-1) ** (self.space.degree(l)[0] % 2)
+            chi += (-1) ** (self.space.degree(l) % 2)
         return chi
 
 
@@ -378,7 +345,6 @@ def quotient(space: GradedSpace, relations: Iterable):
     pivots = set(ech.rows)
     qlabels = [l for l in space.labels if l not in pivots]
     qspace = GradedSpace(qlabels, {l: space.degree(l) for l in qlabels})
-    zeros = (0,) * len(as_degree(next(iter(space.degrees.values()), (0,))))
     entries = {}
     for l in space.labels:
         if l in pivots:
@@ -387,5 +353,5 @@ def quotient(space: GradedSpace, relations: Iterable):
             entries[l] = {k: -c for k, c in row.items() if k != l}
         else:
             entries[l] = {l: 1}
-    proj = GradedMap(space, qspace, zeros, entries, check=False)
+    proj = GradedMap(space, qspace, 0, entries, check=False)
     return qspace, proj

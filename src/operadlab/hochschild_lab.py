@@ -364,13 +364,13 @@ def hochschild_complex(algebra: Algebra, nmax: int) -> Complex:
     """The complex C^0(A, A) -> ... -> C^{nmax}(A, A) with basis labels
     (arity, argument tuple, value index)."""
     labels = [l for n in range(nmax + 1) for l in _cochain_basis(algebra, n)]
-    space = GradedSpace(labels, {l: (l[0],) for l in labels})
+    space = GradedSpace(labels, {l: l[0] for l in labels})
     entries = {}
     for l in labels:
         col = _d_column(algebra, l) if l[0] < nmax else {}
         if col:
             entries[l] = col
-    d = GradedMap(space, space, (1,), entries, check=False)
+    d = GradedMap(space, space, 1, entries, check=False)
     return Complex(space, d)
 
 
@@ -810,14 +810,14 @@ def harrison_weight_complex(weight):
         for w in basis:
             lab = (w, weight - s)
             labels.append(lab)
-            degrees[lab] = (-k,)  # cohomological convention: b has degree +1
+            degrees[lab] = -k  # cohomological convention: b has degree +1
     space = GradedSpace(labels, degrees)
     entries = {}
     for (w, c) in labels:
         col = _harrison_boundary(blocks, {w: 1}, c)
         if col:
             entries[(w, c)] = col
-    d = GradedMap(space, space, (1,), entries)
+    d = GradedMap(space, space, 1, entries)
     cx = Complex(space, d)
     info = {"weight": weight, "dims": {}}
     for lab in labels:
@@ -922,7 +922,11 @@ class SchoutenTruncation:
             raise ValueError("generators must be 0 or 2")
         self.monos.sort()
         self._wordblock = {}
-        self._words = {}  # raw word -> (weight, V[1] parity)
+        # raw word -> weight, and raw word -> parity as a component of P
+        # (one more than its V[1] parity); word_block fills both for every
+        # raw word of the block it builds
+        self.word_weight = {}
+        self.word_q = {}
         self._pbasis = None
         self._pblocks = None
 
@@ -965,31 +969,15 @@ class SchoutenTruncation:
                 for rest in self.raw_words(k - 1, wmax - self.weight(m)):
                     yield (m,) + rest
 
-    def word_info(self, w):
-        """(weight, V[1] parity) of a raw word, summed over its letters on
-        first use and kept."""
-        info = self._words.get(w)
-        if info is None:
-            info = self._words[w] = (sum(self.weight(m) for m in w),
-                                     sum(self.par(m) for m in w) % 2)
-        return info
-
-    def word_weight(self, w):
-        return self.word_info(w)[0]
-
-    def word_par(self, w):
-        return self.word_info(w)[1]
-
-    def comp_par(self, w):
-        """Parity of the word as a component of P (one extra shift)."""
-        return 1 - self.word_info(w)[1]
-
     def word_block(self, k):
         """(basis words, reducer) of the shuffle quotient at letter count k
         (shuffle_quotient, with the letters' V[1] parities)."""
         if k not in self._wordblock:
-            self._wordblock[k] = shuffle_quotient(
-                sorted(self.raw_words(k, self.cap)), self.par)
+            raws = sorted(self.raw_words(k, self.cap))
+            for w in raws:
+                self.word_weight[w] = sum(map(self.weight, w))
+                self.word_q[w] = (1 + sum(map(self.par, w))) % 2
+            self._wordblock[k] = shuffle_quotient(raws, self.par)
         return self._wordblock[k]
 
     def reduce_word(self, w):
@@ -1009,7 +997,7 @@ class SchoutenTruncation:
         pool.sort(key=lambda w: (len(w), w))
         # (word, length, weight, first pool index the next component may
         # take): a word may repeat only if it is even
-        items = [(w, len(w), self.word_weight(w), i + self.comp_par(w))
+        items = [(w, len(w), self.word_weight[w], i + self.word_q[w])
                  for i, w in enumerate(pool)]
         out = []
 
@@ -1041,18 +1029,18 @@ class SchoutenTruncation:
     def koszul_sort(self, words):
         """(sign, words sorted by (length, word)) with the Koszul sign of the
         components' parities, or None if an odd component repeats."""
+        q = self.word_q
         lst = list(words)
         sign = 1
         for i in range(1, len(lst)):
             j = i
             while j > 0 and (len(lst[j]), lst[j]) < (len(lst[j - 1]),
                                                      lst[j - 1]):
-                sign *= (-1) ** (self.comp_par(lst[j]) *
-                                 self.comp_par(lst[j - 1]))
+                sign *= (-1) ** (q[lst[j]] * q[lst[j - 1]])
                 lst[j], lst[j - 1] = lst[j - 1], lst[j]
                 j -= 1
         for i in range(1, len(lst)):
-            if lst[i] == lst[i - 1] and self.comp_par(lst[i]) == 1:
+            if lst[i] == lst[i - 1] and q[lst[i]] == 1:
                 return None
         return sign, tuple(lst)
 
@@ -1077,7 +1065,7 @@ class SchoutenTruncation:
         return sum(len(w) for w in z)
 
     def z_weight(self, z):
-        return sum(self.word_weight(w) for w in z)
+        return sum(self.word_weight[w] for w in z)
 
     def gr2(self, z):
         """Cobracket count: sum over words of (length - 1)."""
@@ -1096,11 +1084,12 @@ def schouten_d_product(ctx, z):
     checks in schouten_coderivation_report: this operator squares to zero and
     anticommutes with schouten_d_bracket away from the weight boundary.
     """
+    q = ctx.word_q
     out = {}
     N = len(z)
     for i, w in enumerate(z):
-        Q = sum(ctx.comp_par(z[r]) for r in range(i))
-        esign = (-1) ** (ctx.comp_par(w) * Q)
+        Q = sum(q[z[r]] for r in range(i))
+        esign = (-1) ** (q[w] * Q)
         for j in range(len(w) - 1):
             pr = ctx.prod(w[j], w[j + 1])
             if pr is None:
@@ -1120,14 +1109,15 @@ def schouten_d_bracket(ctx, z):
     Brackets one letter of one word with one letter of another word and
     shuffles the remainders together.  Sign conventions pinned as above.
     """
+    q = ctx.word_q
     out = {}
     N = len(z)
     for i in range(N):
         for j in range(i + 1, N):
             wi, wj = z[i], z[j]
-            qi, qj = ctx.comp_par(wi), ctx.comp_par(wj)
-            Qi = sum(ctx.comp_par(z[r]) for r in range(i))
-            Qj = sum(ctx.comp_par(z[r]) for r in range(j) if r != i)
+            qi, qj = q[wi], q[wj]
+            Qi = sum(q[z[r]] for r in range(i))
+            Qj = sum(q[z[r]] for r in range(j) if r != i)
             esign = (-1) ** (qi * Qi + qj * Qj)
             for a in range(len(wi)):
                 for b in range(len(wj)):
@@ -1208,11 +1198,9 @@ class SchoutenDualModel:
         self._build_duals()
 
     # -- cobracket transpose: odd Lie bracket on word duals ----------------
-    def q(self, w):
-        return self.ctx.comp_par(w)
-
     def cobracket(self, w):
         """Antisymmetrized deconcatenation on the shuffle quotient."""
+        q = self.ctx.word_q
         out = {}
         for s in range(1, len(w)):
             left = self.ctx.reduce_word(w[:s])
@@ -1221,7 +1209,7 @@ class SchoutenDualModel:
                 for b, cb in right.items():
                     c = ca * cb
                     vec_acc(out, (a, b), c)
-                    sg = -(-1) ** ((self.q(a) + 1) * (self.q(b) + 1))
+                    sg = -(-1) ** ((q[a] + 1) * (q[b] + 1))
                     vec_acc(out, (b, a), sg * c)
         return out
 
@@ -1242,8 +1230,7 @@ class SchoutenDualModel:
         ctx = self.ctx
         if sum(len(w) for w in words) > ctx.lcap:
             return None
-        info = ctx.word_info
-        if sum(info(w)[0] for w in words) > ctx.cap:
+        if sum(ctx.word_weight[w] for w in words) > ctx.cap:
             return None
         return ctx.koszul_sort(words)
 
@@ -1269,12 +1256,13 @@ class SchoutenDualModel:
         a single word, by the Leibniz rule with the mixed Koszul shift
         {y.z, b} = y.{z, b} + (-1)^{q(z)(q(b)+1)}{y, b}.z: b* passes the
         factors after the bracketed one (right) or before it (left)."""
+        q = self.ctx.word_q
         out = {}
-        qb1 = self.q(b) + 1
+        qb1 = q[b] + 1
         for z, c in x.items():
             for i, w in enumerate(z):
                 passed = z[i + 1:] if right else z[:i]
-                koz = sum(self.q(u) for u in passed) * qb1
+                koz = sum(q[u] for u in passed) * qb1
                 br = self.br_ww(w, b) if right else self.br_ww(b, w)
                 for w2, c2 in br.items():
                     r = self.sort_mono(list(z[:i]) + [w2] + list(z[i + 1:]))
@@ -1338,7 +1326,7 @@ class SchoutenDualModel:
                 for b, c in self._std[v].items():
                     vec_axpy(out, c, self.leibniz(fu, b, True))
                 fv = self._phi_std(v, gv, pphi, memo)
-                sg = (-1) ** (pphi * (self.q(u) + 1) % 2)
+                sg = (-1) ** (pphi * (self.ctx.word_q[u] + 1) % 2)
                 for a, c in self._std[u].items():
                     vec_axpy(out, sg * c, self.leibniz(fv, a, False))
             memo["P", w] = out
@@ -1358,6 +1346,7 @@ class SchoutenDualModel:
         phi(w*) under the word w and phi(P_w) under ("P", w).  A word with
         no letter in gv goes to zero.
         """
+        q = self.ctx.word_q
         out = {}
         for z, c in x.items():
             for i, w in enumerate(z):
@@ -1367,7 +1356,7 @@ class SchoutenDualModel:
                 fw = memo[w]
                 if not fw:
                     continue
-                koz = sum(self.q(z[r]) for r in range(i)) * pphi
+                koz = sum(q[z[r]] for r in range(i)) * pphi
                 sc = (-1) ** (koz % 2) * c
                 pre, post = z[:i], z[i + 1:]
                 # one Koszul sort of z[:i] . fw . z[i+1:] per term of fw
@@ -1391,17 +1380,6 @@ class SchoutenDualModel:
                             for m, col in T.letter_columns.items()}
         return T
 
-    def apply_T(self, T, x_g):
-        out = {}
-        for z, c in x_g.items():
-            vec_axpy(out, c, T.get(z, {}))
-        return out
-
-    def func_to_gens(self, f):
-        """Functional f, a vector over (z, letter) labels, transposed to
-        generator values."""
-        return {v: self.g2p(el) for v, el in _letter_values(f).items()}
-
 
 def _letter_values(f):
     """A functional f, a vector over (z, letter) labels, as its value at
@@ -1413,15 +1391,20 @@ def _letter_values(f):
 
 
 class _Transpose(dict):
-    """A transposed operator z0 -> gamma-rep element.  `letter_columns`
+    """A transposed operator z0 -> gamma-rep element; a z0 it sends to
+    zero reads as an empty column, which is not stored.  `letter_columns`
     keeps, for each letter m, the column of the one-letter element ((m,),)
     in product rep, and `column_letters` the letters its words contain:
     hom_differential reads both for every functional."""
 
+    def __missing__(self, z0):
+        return {}
+
 
 def functional_parity(model, z, v):
     """Parity of the basis functional z* -> v as an operator on P."""
-    return (sum(model.q(w) for w in z) + model.q((v,))) % 2
+    q = model.ctx.word_q
+    return (sum(q[w] for w in z) + q[(v,)]) % 2
 
 
 def hom_differential(model, T, f):
@@ -1447,7 +1430,7 @@ def hom_differential(model, T, f):
     sg = (-1) ** parity
     for m in model.ctx.monos:
         # Phi_f of the one-letter element ((m,),) is f's value at m
-        G = model.apply_T(T, values[m]) if m in values else {}
+        G = _apply(T, values[m]) if m in values else {}
         # phi sends a column none of whose words has a letter in gv to 0
         col = T.letter_columns.get(m)
         if col and not T.column_letters[m].isdisjoint(gv):
@@ -1471,8 +1454,9 @@ class _HomColumns(dict):
 
 
 def _apply(columns, f):
-    """[d, f] for f a vector over (z, v) labels: hom_differential is linear
-    in f, so this is the sum of f's columns."""
+    """The sum of f's columns: a transpose applied to a gamma-rep element,
+    or [d, f] for f a vector over (z, v) labels from a _HomColumns table
+    (hom_differential is linear in f)."""
     out = {}
     for lab, c in f.items():
         vec_axpy(out, c, columns[lab])
@@ -1517,12 +1501,12 @@ def extension_report(weight_cap=3, letter_cap=3):
             ("product", product_corestriction, Tm),
             ("bracket", bracket_corestriction, Tb)):
         f = {(z, v): c for z in P for v, c in cor(ctx, z).items()}
-        gv = model.func_to_gens(f)
+        gv = {v: model.g2p(el) for v, el in _letter_values(f).items()}
         memo = {}
         mismatches = 0
         for z in P:
             got = model.p2g(model.phi(model.g2p({z: 1}), gv, 1, memo))
-            want = model.apply_T(T, {z: 1})
+            want = _apply(T, {z: 1})
             vec_axpy(got, -1, want)
             if got:
                 mismatches += 1

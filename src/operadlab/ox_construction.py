@@ -19,10 +19,12 @@ x -> phi(x1, D(x2, x3)) is the `operad_core` tree phi(1, D(2, 3)) whose leaf
 labels are the letters, and a tensor word is a tuple of such trees.
 Everything here is built on even letters: the corestriction engine, the
 shuffles, the three-split extension and both sides of the truncated
-identities.  Read so, the trees are operad elements with the same
-coefficients (`lift`).  Graded letters enter only through one sign,
-`koszul_sign`, taken once per result term by `evaluate` and by
-`at_parities`, the engine's reader on graded atoms.
+identities.  Read so, an expression sum is the operad element
+`OperadElement(arity, exprs)` with the same coefficients: every expression
+is already a tree, and the preorder-tensor coefficients agree because even
+letters never produce interleaving signs.  Graded letters enter only
+through one sign, `koszul_sign`, taken once per result term by `evaluate`
+and by `at_parities`, the engine's reader on graded atoms.
 
 Nothing here divides.  The cell boundaries, coproducts and counits are
 integral, and so are the signs, so every coefficient is an `int`.
@@ -404,14 +406,6 @@ def _letter_blocks(profile):
 # ---------------------------------------------------------------------------
 # reading expressions as operad elements, and evaluating elements back
 
-def lift(exprs: dict, arity: int) -> OperadElement:
-    """Read an expression sum (with all letters declared even) as an operad
-    element: every expression is already a tree, and the preorder-tensor
-    coefficients agree because even letters never produce interleaving
-    signs."""
-    return OperadElement(arity, exprs)
-
-
 def evaluate(e, parities) -> dict:
     """Evaluate an operad element on formal graded letters.
 
@@ -482,7 +476,7 @@ def ox_differential(sym: GeneratorSymbol) -> OperadElement:
                         args.append(Node(d_symbol(j), seg))
                         args.extend(blocks[l][pstart + j:])
                 vec_acc(total, Node(nsym, args), csign)
-    return lift(total, n)
+    return OperadElement(n, total)
 
 
 def _ox_rule(sym: GeneratorSymbol):
@@ -507,9 +501,9 @@ def associativity_defect(profile=(1, 1, 1)) -> OperadElement:
         raise OXError("the defect takes a three-block profile")
     n = sum(profile)
     blocks = _letter_blocks(profile)
-    left = lift(phi1_tree(AS_CONTEXT, one_tree(3), blocks), n)
+    left = OperadElement(n, phi1_tree(AS_CONTEXT, one_tree(3), blocks))
     t = Node(AS2, (Leaf(1), Node(AS2, (Leaf(2), Leaf(3)))))
-    right = lift(phi1_tree(AS_CONTEXT, t, blocks), n)
+    right = OperadElement(n, phi1_tree(AS_CONTEXT, t, blocks))
     return left.sub(right)
 
 
@@ -610,7 +604,7 @@ def _arity2_complex(operad: str):
     g1 = d_symbol(2)
     basis = [corolla(g0, (1, 2)), corolla(g0, (2, 1)),
              corolla(g1, (1, 2)), corolla(g1, (2, 1))]
-    space = GradedSpace(basis, {t: (tree_degree(t),) for t in basis})
+    space = GradedSpace(basis, {t: tree_degree(t) for t in basis})
     columns = {}
     for t in basis:
         img = diff(_el(t))
@@ -618,7 +612,7 @@ def _arity2_complex(operad: str):
             if u not in space.index:
                 raise OXError("differential leaves the arity-2 span")
         columns[t] = dict(img.terms)
-    d = GradedMap(space, space, (1,), columns)
+    d = GradedMap(space, space, 1, columns)
     return basis, Complex(space, d)
 
 
@@ -849,7 +843,8 @@ def _to_B_image(sym: GeneratorSymbol) -> OperadElement:
         return OperadElement.zero(sym.arity)
     n = tree_arity(cell)
     blocks = _letter_blocks(profile)
-    img = lift(phi1_tree(AS_CONTEXT, one_tree(n), blocks), sum(profile))
+    img = OperadElement(sum(profile),
+                        phi1_tree(AS_CONTEXT, one_tree(n), blocks))
     return img.scale(e)
 
 

@@ -86,7 +86,7 @@ def test_apex_represents_the_homology_of_a_point():
         # rep - eps(rep) * apex is a boundary
         diff = dict(rep)
         vec_acc(diff, cx.apex, -augmentation(OperadElement(n, rep)))
-        image = span(map(cx.d.entries.get, cx.space.labels_of_degree1(-1)),
+        image = span(map(cx.d.entries.get, cx.space.labels_of_degree(-1)),
                      cx.space.index)
         assert image.contains(diff), n
 

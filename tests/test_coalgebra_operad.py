@@ -34,8 +34,8 @@ def test_cone_of_point():
 
 def test_cone_with_odd_primitive_valid():
     # grouplike g plus an odd primitive x: Delta x = x ox g + g ox x
-    sp = GradedSpace(("g", "x"), {"g": (0,), "x": (1,)})
-    d = GradedMap.zero(sp, sp, (1,))
+    sp = GradedSpace(("g", "x"), {"g": 0, "x": 1})
+    d = GradedMap.zero(sp, sp, 1)
     delta = {"g": {("g", "g"): F(1)},
              "x": {("x", "g"): F(1), ("g", "x"): F(1)}}
     a = DgCoalgebra(sp, d, delta, {"g": F(1), "x": F(0)})
@@ -66,7 +66,7 @@ def test_cone_of_boundary_is_A(n):
     cells = set(ah.decompose(n).cells)
     assert {fwd(l) for l in cb.space.labels} == cells
     for l in cb.space.labels:
-        assert cb.space.degree(l) == (tree_degree(fwd(l)),)
+        assert cb.space.degree(l) == tree_degree(fwd(l))
         want_d = {fwd(m): c for m, c in cb.d.column(l).items()}
         got_d = dict(ah.boundary(fwd(l)).terms)
         assert want_d == got_d, l
@@ -308,8 +308,8 @@ def test_insert0_equals_cone_extension(n):
 def ground_coalgebra_for_point():
     """The boundary coalgebra of K(2): the single point cell."""
     pt = ah.point_cell(2)
-    sp = GradedSpace((pt,), {pt: (0,)})
-    d = GradedMap.zero(sp, sp, (1,))
+    sp = GradedSpace((pt,), {pt: 0})
+    d = GradedMap.zero(sp, sp, 1)
     return DgCoalgebra(sp, d, {pt: {(pt, pt): F(1)}}, {pt: F(1)})
 
 

@@ -201,7 +201,7 @@ def test_cached_coboundary_image_matches_the_complex(make):
     # reference: the image of d in arity m, spanned in the whole complex
     alg = make()
     cx = hochschild_complex(alg, 4)
-    image = {m: span(map(cx.d.entries.get, cx.space.labels_of_degree1(m - 1)),
+    image = {m: span(map(cx.d.entries.get, cx.space.labels_of_degree(m - 1)),
                      cx.space.index) for m in range(5)}
     verdicts = set()
     for arity in range(4):
@@ -489,7 +489,7 @@ def brute_force_p_basis(ctx):
         for z in itertools.combinations_with_replacement(short, r):
             if ctx.z_letters(z) > ctx.lcap or ctx.z_weight(z) > ctx.cap:
                 continue
-            if any(a == b and ctx.comp_par(a) == 1
+            if any(a == b and ctx.word_q[a] == 1
                    for a, b in zip(z, z[1:])):
                 continue
             out.append(z)
@@ -513,20 +513,25 @@ def test_p_basis_is_shared_with_dual_model():
 
 
 def test_word_table_matches_the_letter_sums():
-    # a letter u^p xi^e has weight p + e and V[1] parity 1 - e
-    def sums(w):
-        parity = sum(1 - e for _, e in w) % 2
-        return {"word_weight": sum(p + e for p, e in w),
-                "word_par": parity, "comp_par": 1 - parity}
+    # a letter u^p xi^e has weight p + e and V[1] parity 1 - e, so a word
+    # has component parity 1 + its V[1] parity
+    ctx = SchoutenTruncation(4, 4)
+    ctx.p_basis()
+    words = [w for k in range(1, ctx.lcap + 1)
+             for w in ctx.raw_words(k, ctx.cap)]
+    assert set(ctx.word_weight) == set(ctx.word_q) == set(words)
+    for w in words:
+        assert ctx.word_weight[w] == sum(p + e for p, e in w), w
+        assert ctx.word_q[w] == (1 + sum(1 - e for _, e in w)) % 2, w
 
-    for name in ("word_weight", "word_par", "comp_par"):
-        ctx = SchoutenTruncation(4, 4)
-        words = [w for k in range(1, ctx.lcap + 1)
-                 for w in ctx.raw_words(k, ctx.cap)]
-        # the first query fills the table, the second reads it
-        for _ in range(2):
-            for w in words:
-                assert getattr(ctx, name)(w) == sums(w)[name], (name, w)
+
+def test_a_word_of_an_unbuilt_block_raises():
+    ctx = SchoutenTruncation(4, 4)
+    ctx.word_block(1)
+    with pytest.raises(KeyError):
+        ctx.koszul_sort([((1, 0), (0, 1)), ((0, 1),)])
+    with pytest.raises(KeyError):
+        ctx.z_weight((((1, 0), (0, 1)),))
 
 
 @pytest.mark.parametrize("caps, generators", [
@@ -602,7 +607,7 @@ class _RefLeftNormedModel(SchoutenDualModel):
         if len(seq) == 1:
             return dict(gv.get(seq[0], {}))
         pre = seq[:-1]
-        qpre = (sum(self.q((l,)) for l in pre) + len(pre) - 1) % 2
+        qpre = (sum(self.ctx.word_q[(l,)] for l in pre) + len(pre) - 1) % 2
         out = self.leibniz(self._phi_ln(pre, gv, pphi), (seq[-1],), True)
         gvg = gv.get(seq[-1])
         if gvg:
@@ -646,7 +651,7 @@ def test_word_duals_are_combinations_of_standard_brackets(caps, generators):
                 vec_axpy(got, c, model._std[v])
             assert got == {w: 1}, w
             half = w[:k // 2]
-            odd_square = w == half + half and ctx.word_par(half) == 1
+            odd_square = w == half + half and ctx.word_q[half] == 0
             squares += odd_square
             assert model._std[w][w] == (2 if odd_square else 1), w
     assert squares or generators == 0
@@ -748,13 +753,13 @@ def _ref_hom_differential(model, T, f):
     the product-rep column of every one-letter element of T, recomputed on
     each call."""
     parity, = {hl.functional_parity(model, z, v) for z, v in f}
-    gv = model.func_to_gens(f)
+    gv = {v: model.g2p(el) for v, el in hl._letter_values(f).items()}
     memo = {}
     out = {}
     sg = (-1) ** parity
     for m in model.ctx.monos:
         zv = ((m,),)
-        G = model.apply_T(T, model.p2g(model.phi({zv: 1}, gv, parity, memo)))
+        G = hl._apply(T, model.p2g(model.phi({zv: 1}, gv, parity, memo)))
         col = T.get(zv)
         if col:
             vec_axpy(G, -sg, model.p2g(model.phi(model.g2p(col), gv,

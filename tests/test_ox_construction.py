@@ -14,7 +14,7 @@ from operadlab.ox_construction import (
     OXError, arity2_homology, associativity_defect, bracket,
     check_Gg_and_tri, d_symbol, diff, equal_in_O, evaluate,
     expand_corestriction, filtration_weight, holie_gen,
-    holie_map, holie_vanishing, jacobiator, lift, mm_symbol, phi_symbol,
+    holie_map, holie_vanishing, jacobiator, mm_symbol, phi_symbol,
     signs_report, to_B, write_signs,
 )
 from operadlab.exact_chain import vec_acc
@@ -369,7 +369,7 @@ def test_evaluate_respects_grafting():
 def test_lift_round_trip():
     out = expand_corestriction(ah.fundamental_class(3), (1, 1, 1), rank=1)
     exprs = {w[0]: c for w, c in out.items()}
-    e = lift(exprs, 3)
+    e = OperadElement(3, exprs)
     assert evaluate(e, (0, 0, 0)) == exprs
 
 
