@@ -176,8 +176,9 @@ class GradedMap:
 
 def _int_entries(vec: Vector) -> Vector:
     """vec, with each integral Fraction entry made an int in place.  Echelon
-    calls it on the rows it back-reduces: a sum of Fractions in vec_axpy
-    stays a Fraction even when it is an integer."""
+    calls it on the remainders it returns and the rows it back-reduces: a
+    sum of Fractions in vec_axpy stays a Fraction even when it is an
+    integer."""
     for k, c in vec.items():
         if type(c) is Fraction and c.denominator == 1:
             vec[k] = c.numerator
@@ -215,7 +216,7 @@ class Echelon:
             vec_axpy(vec, c, self.rows[p])
             if combo is not None:
                 vec_axpy(combo, c, self.combos[p])
-        return vec
+        return _int_entries(vec)
 
     def add(self, vec: Vector, tag=None):
         """Insert vec; return the reduced remainder, or None if dependent."""

@@ -1103,6 +1103,9 @@ def schouten_d_product(ctx, z):
     return out
 
 
+schouten_d_product.drop = (0, 1)  # (components, letters)
+
+
 def schouten_d_bracket(ctx, z):
     """Coderivation of P extending the Schouten bracket of V.
 
@@ -1143,6 +1146,9 @@ def schouten_d_bracket(ctx, z):
                                 vec_axpy(out, 1,
                                          ctx.normalize([neww] + rest, c))
     return out
+
+
+schouten_d_bracket.drop = (1, 1)  # (components, letters)
 
 
 def product_corestriction(ctx, z):
@@ -1194,6 +1200,7 @@ class SchoutenDualModel:
         self._std = {}    # basis word w -> P_w over the word duals
         self._rw = {}     # basis word w -> w* as a combination of the P_v
         self._mult = {}   # sorted z -> _mult_factor(z)
+        self._ad = {}     # (z, b, right) -> leibniz({z: 1}, b, right)
         self._build_bracket()
         self._build_duals()
 
@@ -1255,21 +1262,23 @@ class SchoutenDualModel:
         """{x, b*} (right) or {b*, x} (not right) for x in product rep and b
         a single word, by the Leibniz rule with the mixed Koszul shift
         {y.z, b} = y.{z, b} + (-1)^{q(z)(q(b)+1)}{y, b}.z: b* passes the
-        factors after the bracketed one (right) or before it (left)."""
+        factors after the bracketed one (right) or before it (left).  The
+        value on each monomial z is kept in the ad table at (z, b, right)."""
         q = self.ctx.word_q
         out = {}
-        qb1 = q[b] + 1
         for z, c in x.items():
-            for i, w in enumerate(z):
-                passed = z[i + 1:] if right else z[:i]
-                koz = sum(q[u] for u in passed) * qb1
-                br = self.br_ww(w, b) if right else self.br_ww(b, w)
-                for w2, c2 in br.items():
-                    r = self.sort_mono(list(z[:i]) + [w2] + list(z[i + 1:]))
-                    if r is None:
-                        continue
-                    s, zz = r
-                    vec_acc(out, zz, s * (-1) ** (koz % 2) * c * c2)
+            col = self._ad.get((z, b, right))
+            if col is None:
+                col = self._ad[z, b, right] = {}
+                for i, w in enumerate(z):
+                    passed = z[i + 1:] if right else z[:i]
+                    sg = (-1) ** (sum(q[u] for u in passed) * (q[b] + 1) % 2)
+                    br = self.br_ww(w, b) if right else self.br_ww(b, w)
+                    for w2, c2 in br.items():
+                        r = self.sort_mono(z[:i] + (w2,) + z[i + 1:])
+                        if r is not None:
+                            vec_acc(col, r[1], r[0] * sg * c2)
+            vec_axpy(out, c, col)
         return out
 
     # -- word duals by standard brackets ----------------------------------
@@ -1345,6 +1354,8 @@ class SchoutenDualModel:
         `memo` is shared by the calls with the same gv and pphi: it keeps
         phi(w*) under the word w and phi(P_w) under ("P", w).  A word with
         no letter in gv goes to zero.
+        The values in gv must be product-rep elements over basis monomials of
+        P; then so is every phi(w*), and a one-word term (w,) adds it as is.
         """
         q = self.ctx.word_q
         out = {}
@@ -1355,6 +1366,9 @@ class SchoutenDualModel:
                                if any(l in gv for l in w) else {})
                 fw = memo[w]
                 if not fw:
+                    continue
+                if len(z) == 1:
+                    vec_axpy(out, c, fw)
                     continue
                 koz = sum(q[z[r]] for r in range(i)) * pphi
                 sc = (-1) ** (koz % 2) * c
@@ -1367,15 +1381,13 @@ class SchoutenDualModel:
         return out
 
     # -- transposes ---------------------------------------------------------
-    def transpose(self, dP):
-        """Transpose of an operator on P (given as z -> dict) as a dict
-        z0 -> gamma-rep element (a _Transpose)."""
-        T = _Transpose()
-        for z in self.P:
-            for z0, c in dP(z).items():
-                vec_acc(T.setdefault(z0, {}), z, c)
+    def transpose(self, op):
+        """The transpose of op, schouten_d_product or schouten_d_bracket, as
+        a _Transpose z0 -> gamma-rep element, filled one bidegree block at a
+        time; its letter columns are filled here."""
+        T = _Transpose(self.ctx, op)
         T.letter_columns = {m: self.g2p(T[((m,),)]) for m in self.ctx.monos
-                            if ((m,),) in T}
+                            if T[((m,),)]}
         T.column_letters = {m: {l for z in col for w in z for l in w}
                             for m, col in T.letter_columns.items()}
         return T
@@ -1391,14 +1403,33 @@ def _letter_values(f):
 
 
 class _Transpose(dict):
-    """A transposed operator z0 -> gamma-rep element; a z0 it sends to
-    zero reads as an empty column, which is not stored.  `letter_columns`
-    keeps, for each letter m, the column of the one-letter element ((m,),)
-    in product rep, and `column_letters` the letters its words contain:
-    hom_differential reads both for every functional."""
+    """The transpose z0 -> gamma-rep element of a coderivation op of P.
+    op lowers (components, letters) by op.drop, so the first read of a z0
+    fills every column of its bidegree block from one source block, and an
+    image term outside that block raises.  A z0 op sends to zero reads as
+    an empty column, which is not stored.  `letter_columns` keeps, for each
+    letter m, the column of ((m,),) in product rep, and `column_letters` the
+    letters its words contain: hom_differential reads both."""
+
+    def __init__(self, ctx, op):
+        super().__init__()
+        self.ctx, self.op = ctx, op
+        self.filled = set()
 
     def __missing__(self, z0):
-        return {}
+        ctx, op = self.ctx, self.op
+        target = (len(z0), ctx.z_letters(z0))
+        if target not in self.filled:
+            dw, dl = op.drop
+            for z in ctx.p_block(target[0] + dw, target[1] + dl):
+                for z1, c in op(ctx, z).items():
+                    if (len(z1), ctx.z_letters(z1)) != target:
+                        raise HochschildError(
+                            f"{op.__name__} sends {z} outside the "
+                            f"bidegree block {target}")
+                    vec_acc(self.setdefault(z1, {}), z, c)
+            self.filled.add(target)
+        return self.get(z0, {})
 
 
 def functional_parity(model, z, v):
@@ -1489,8 +1520,8 @@ def extension_report(weight_cap=3, letter_cap=3):
             n += bool(acc)
         return n
 
-    Tm = model.transpose(dm)
-    Tb = model.transpose(dbr)
+    Tm = model.transpose(schouten_d_product)
+    Tb = model.transpose(schouten_d_bracket)
     report = {
         "basis_size": len(P),
         "d_product_squares_to_zero": bad((dm, dm)) == 0,
@@ -1522,14 +1553,17 @@ def extension_report(weight_cap=3, letter_cap=3):
 
 def _row_basis(ctx, words, extra_letters, weight_max):
     """Basis functionals (z, v): z with `words` components and
-    words+extra_letters letters, support weight <= weight_max."""
-    out = []
+    words+extra_letters letters, support weight <= weight_max, grouped by
+    weight shift (_functional_shift) in one pass: {shift: labels} in
+    increasing shift, each list in basis order."""
+    out = {}
     for z in ctx.p_block(words, words + extra_letters):
-        if ctx.z_weight(z) > weight_max:
+        wz = ctx.z_weight(z)
+        if wz > weight_max:
             continue
         for v in ctx.monos:
-            out.append((z, v))
-    return out
+            out.setdefault(ctx.weight(v) - wz, []).append((z, v))
+    return dict(sorted(out.items()))
 
 
 def _functional_shift(ctx, z, v):
@@ -1616,18 +1650,12 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
     lcap = max_columns + 2
     ctx = SchoutenTruncation(internal_cap, lcap, generators=generators)
     model = SchoutenDualModel(ctx)
-    dm = _HomColumns(model,
-                     model.transpose(lambda z: schouten_d_product(ctx, z)))
+    dm = _HomColumns(model, model.transpose(schouten_d_product))
     report = {"weight_cap": weight_cap, "generators": generators,
               "columns": {}}
     for k in range(1, max_columns + 1):
-        sources_all = _row_basis(ctx, k, 0, internal_cap)
-        shifts = sorted({_functional_shift(ctx, z, v)
-                         for (z, v) in sources_all})
         col_report = {}
-        for s in shifts:
-            sources = [(z, v) for (z, v) in sources_all
-                       if _functional_shift(ctx, z, v) == s]
+        for s, sources in _row_basis(ctx, k, 0, internal_cap).items():
             kernel = _kernel(dm, sources)
             vw = s + k
             if generators == 2:
@@ -1658,12 +1686,9 @@ def obstruction_E1(weight_cap, generators=2, max_columns=2):
     # interior-row vanishing for column 1: cohomology at one extra letter
     interior = {}
     f0 = _row_basis(ctx, 1, 0, internal_cap)
-    f1 = _row_basis(ctx, 1, 1, internal_cap)
-    shifts = sorted({_functional_shift(ctx, z, v) for (z, v) in f1})
-    for s in shifts:
-        src1 = [lab for lab in f1 if _functional_shift(ctx, *lab) == s]
+    for s, src1 in _row_basis(ctx, 1, 1, internal_cap).items():
         kernel = _kernel(dm, src1)
-        src0 = [lab for lab in f0 if _functional_shift(ctx, *lab) == s]
+        src0 = f0.get(s, [])
         imdim = span((dm[lab] for lab in src0),
                      {lab: i for i, lab in enumerate(src1)}).rank
         interior[s] = {"kernel": len(kernel), "image": imdim,
@@ -1715,8 +1740,8 @@ def obstruction_bracket_action(weight_cap, max_columns=2):
     lcap = max_columns + 2
     ctx = SchoutenTruncation(internal_cap, lcap)
     model = SchoutenDualModel(ctx)
-    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
-    Tb = model.transpose(lambda z: schouten_d_bracket(ctx, z))
+    Tm = model.transpose(schouten_d_product)
+    Tb = model.transpose(schouten_d_bracket)
 
     def interior(vec, wlim):
         return vec_clean({(z, v): c for (z, v), c in vec.items()
@@ -1912,10 +1937,8 @@ def hom_commutator_report(weight_cap=3, letter_cap=3):
     """
     ctx = SchoutenTruncation(weight_cap, letter_cap)
     model = SchoutenDualModel(ctx)
-    dm = _HomColumns(model,
-                     model.transpose(lambda z: schouten_d_product(ctx, z)))
-    db = _HomColumns(model,
-                     model.transpose(lambda z: schouten_d_bracket(ctx, z)))
+    dm = _HomColumns(model, model.transpose(schouten_d_product))
+    db = _HomColumns(model, model.transpose(schouten_d_bracket))
     funcs = [(z, v) for z in model.P for v in ctx.monos]
     msq_bad = 0
     boundary = True

@@ -286,6 +286,16 @@ def test_back_reduction_keeps_integral_entries_int():
     assert [type(c) for c in values] == [int] * 4 + [Fraction] + [int] * 2
 
 
+def test_reduce_returns_integral_entries_int():
+    ech = Echelon({"a": 0, "b": 1, "c": 2})
+    ech.add({"a": 2, "b": 1})
+    red = ech.reduce({"a": 4, "b": 1, "c": 1})
+    assert red == {"b": -1, "c": 1}
+    assert [type(c) for c in red.values()] == [int, int]
+    assert [type(c) for c in ech.add({"a": 4, "b": 1, "c": 1}).values()] \
+        == [int, int]
+
+
 @given(sparse_columns())
 def test_integer_and_fraction_columns_give_the_same_vectors(case):
     cols, index = case

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from operadlab.exact_chain import Echelon, span, vec_axpy
+from operadlab.exact_chain import Echelon, span, vec_acc, vec_axpy
 from operadlab.hochschild_lab import (
     Algebra, Cochain, CochainWordSum, HochschildError, coalgebra_D,
     coalgebra_product,
@@ -630,7 +630,7 @@ def test_hom_differential_matches_the_left_normed_rewrite(caps, generators):
     model = SchoutenDualModel(ctx)
     ref = _RefLeftNormedModel(ctx)
     for dP in (schouten_d_product, schouten_d_bracket):
-        T = model.transpose(lambda z: dP(ctx, z))
+        T = model.transpose(dP)
         for z in model.P:
             for v in ctx.monos:
                 f = {(z, v): 1}
@@ -682,12 +682,16 @@ def test_dual_model_eliminates_nothing(monkeypatch):
 def test_dual_model_keeps_integer_coefficients():
     ctx = SchoutenTruncation(3, 3)
     model = SchoutenDualModel(ctx)
-    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
-    Tb = model.transpose(lambda z: schouten_d_bracket(ctx, z))
+    Tm = model.transpose(schouten_d_product)
+    Tb = model.transpose(schouten_d_bracket)
 
     def coefficients(table):
         return [c for col in table.values() for c in col.values()]
 
+    # the transposes are filled on first read
+    for T in (Tm, Tb):
+        for z in model.P:
+            T[z]
     for table in (Tm, Tb, model._br, model._std):
         assert all(type(c) is int for c in coefficients(table))
     exact = []
@@ -717,7 +721,7 @@ def test_dual_model_keeps_integer_coefficients():
 def test_hom_differential_rejects_mixed_parity():
     ctx = SchoutenTruncation(2, 2)
     model = SchoutenDualModel(ctx)
-    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
+    Tm = model.transpose(schouten_d_product)
     labels = [(z, v) for z in model.P for v in ctx.monos]
     even = next(l for l in labels if hl.functional_parity(model, *l) == 0)
     odd = next(l for l in labels if hl.functional_parity(model, *l) == 1)
@@ -734,7 +738,7 @@ def test_hom_columns_apply_linearly(caps):
     labels = [(z, v) for z in model.P for v in ctx.monos]
     rng = random.Random(sum(caps))
     for dP in (schouten_d_product, schouten_d_bracket):
-        T = model.transpose(lambda z: dP(ctx, z))
+        T = model.transpose(dP)
         columns = hl._HomColumns(model, T)
         for parity in (0, 1):
             pool = [l for l in labels
@@ -760,13 +764,138 @@ def _ref_hom_differential(model, T, f):
     for m in model.ctx.monos:
         zv = ((m,),)
         G = hl._apply(T, model.p2g(model.phi({zv: 1}, gv, parity, memo)))
-        col = T.get(zv)
+        col = T[zv]
         if col:
             vec_axpy(G, -sg, model.p2g(model.phi(model.g2p(col), gv,
                                                  parity, memo)))
         for z, c in G.items():
             out[z, m] = c
     return out
+
+
+def _ref_transpose(model, op):
+    """The transpose z0 -> column of op by the eager loop over all of P."""
+    T = {}
+    for z in model.P:
+        for z0, c in op(model.ctx, z).items():
+            vec_acc(T.setdefault(z0, {}), z, c)
+    return T
+
+
+@pytest.mark.parametrize("caps, generators", [
+    ((3, 3), 2), ((4, 4), 2), ((4, 4), 0)])
+def test_block_transpose_matches_the_eager_loop(caps, generators):
+    ctx = SchoutenTruncation(*caps, generators=generators)
+    model = SchoutenDualModel(ctx)
+    for op in (schouten_d_product, schouten_d_bracket):
+        T = model.transpose(op)
+        # transpose itself fills only the block of the one-letter elements
+        assert T.filled == {(1, 1)}
+        ref = _ref_transpose(model, op)
+        assert T.letter_columns == {m: model.g2p(ref[((m,),)])
+                                    for m in ctx.monos if ((m,),) in ref}
+        for z0 in model.P:
+            assert list(T[z0].items()) == list(ref.get(z0, {}).items()), z0
+        assert T == ref
+
+
+@pytest.mark.parametrize("op, drop", [
+    (schouten_d_product, (1, 1)), (schouten_d_product, (0, 2)),
+    (schouten_d_bracket, (0, 1)), (schouten_d_bracket, (1, 2))])
+def test_transpose_of_a_wrong_bidegree_raises(op, drop):
+    ctx = SchoutenTruncation(3, 3)
+    model = SchoutenDualModel(ctx)
+
+    def wrong(ctx, z):
+        return op(ctx, z)
+
+    wrong.drop = drop
+    with pytest.raises(HochschildError):
+        T = model.transpose(wrong)
+        for z0 in model.P:
+            T[z0]
+
+
+def _ref_leibniz(model, x, b, right):
+    """{x, b*} (right) or {b*, x} by the Leibniz rule, term by term, with
+    no table."""
+    q = model.ctx.word_q
+    out = {}
+    qb1 = q[b] + 1
+    for z, c in x.items():
+        for i, w in enumerate(z):
+            passed = z[i + 1:] if right else z[:i]
+            koz = sum(q[u] for u in passed) * qb1
+            br = model.br_ww(w, b) if right else model.br_ww(b, w)
+            for w2, c2 in br.items():
+                r = model.sort_mono(list(z[:i]) + [w2] + list(z[i + 1:]))
+                if r is None:
+                    continue
+                s, zz = r
+                vec_acc(out, zz, s * (-1) ** (koz % 2) * c * c2)
+    return out
+
+
+def test_leibniz_table_matches_the_per_term_loop():
+    ctx = SchoutenTruncation(3, 3)
+    model = SchoutenDualModel(ctx)
+    words = [w for k in range(1, ctx.lcap + 1) for w in ctx.word_block(k)[0]]
+    rng = random.Random(3)
+    for b in words:
+        for right in (True, False):
+            for z in model.P:
+                x = {z: 1}
+                assert (model.leibniz(x, b, right)
+                        == _ref_leibniz(model, x, b, right)), (z, b, right)
+            # sums of monomials whose entries are already in the table
+            x = {z: rng.choice([-2, 1, F(1, 2), 3])
+                 for z in rng.sample(model.P, 6)}
+            assert (model.leibniz(x, b, right)
+                    == _ref_leibniz(model, x, b, right))
+    assert len(model._ad) == 2 * len(words) * len(model.P)
+
+
+def _ref_phi(model, x, gv, pphi, memo):
+    """The derivation with generator values gv on x, with one Koszul sort
+    of every term of phi(w*), one-word terms of x included."""
+    q = model.ctx.word_q
+    out = {}
+    for z, c in x.items():
+        for i, w in enumerate(z):
+            if w not in memo:
+                memo[w] = (model.phi_word(w, gv, pphi, memo)
+                           if any(l in gv for l in w) else {})
+            koz = sum(q[z[r]] for r in range(i)) * pphi
+            sc = (-1) ** (koz % 2) * c
+            for z2, c2 in memo[w].items():
+                r = model.sort_mono(z[:i] + z2 + z[i + 1:])
+                if r is not None:
+                    vec_acc(out, r[1], sc * r[0] * c2)
+    return out
+
+
+@pytest.mark.parametrize("caps, generators", [((3, 3), 2), ((4, 4), 0)])
+def test_phi_one_word_pass_through_matches_the_re_sorting_loop(
+        caps, generators):
+    ctx = SchoutenTruncation(*caps, generators=generators)
+    model = SchoutenDualModel(ctx)
+    Tm = model.transpose(schouten_d_product)
+    # the letter columns of d_product are one-word terms only
+    assert all(len(z) == 1 for col in Tm.letter_columns.values()
+               for z in col)
+    checked = 0
+    for T in (Tm, model.transpose(schouten_d_bracket)):
+        for z in model.P:
+            for v in ctx.monos:
+                parity = hl.functional_parity(model, z, v)
+                gv = {u: model.g2p(el)
+                      for u, el in hl._letter_values({(z, v): 1}).items()}
+                memo, ref_memo = {}, {}
+                for col in T.letter_columns.values():
+                    got = model.phi(col, gv, parity, memo)
+                    assert got == _ref_phi(model, col, gv, parity, ref_memo)
+                    checked += bool(got)
+    assert checked or generators == 0
 
 
 @pytest.mark.parametrize("caps, generators", [((3, 3), 2), ((4, 4), 0)])
@@ -777,7 +906,7 @@ def test_hom_differential_matches_the_per_call_loop(caps, generators):
     ctx = SchoutenTruncation(*caps, generators=generators)
     model = SchoutenDualModel(ctx)
     for dP in (schouten_d_product, schouten_d_bracket):
-        T = model.transpose(lambda z: dP(ctx, z))
+        T = model.transpose(dP)
         for z in model.P:
             for v in ctx.monos:
                 f = {(z, v): 1}
@@ -790,8 +919,8 @@ def test_hom_differential_matches_the_per_call_loop_on_representatives():
     # and their [d_bracket, -] images carry many labels
     ctx = SchoutenTruncation(7, 4)
     model = SchoutenDualModel(ctx)
-    Tm = model.transpose(lambda z: schouten_d_product(ctx, z))
-    Tb = model.transpose(lambda z: schouten_d_bracket(ctx, z))
+    Tm = model.transpose(schouten_d_product)
+    Tb = model.transpose(schouten_d_bracket)
     checked = 0
     for k in (1, 2):
         for v in ctx.monos:
