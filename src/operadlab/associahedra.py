@@ -24,9 +24,10 @@ alone:
 with T applied termwise to the boundary cells of db and aug(b) the
 coefficient sum of the dimension-0 cells of b.  The boundary of any cell
 is therefore defined whether or not `decompose` has enumerated its K(n).
-When `decompose` does enumerate K(n), it walks each border cell's vertices
-once, builds each cone column from its base's column through the cone
-table, and hands that value to the differential for the larger complexes.
+When `decompose` does enumerate K(n), it walks no cell's vertices: it reads
+each border column a o_l b from the columns of a and b, as d is a derivation
+of composition, and each cone column from its base's column through the
+cone table, and hands the cone values to the differential.
 """
 
 from __future__ import annotations
@@ -145,25 +146,26 @@ class CellComplex:
     cells (the keys of `cone`), the apex, and the cone Tb = cone[b] over
     each border cell b.
 
-    Only the border columns walk vertices: every vertex of a border cell is
-    an apex or a cone of a smaller K(m), whose value the differential
-    already holds.  The column of Tb is read from the column of b through
-    `cone`, and handed to the differential as the value of Tb's generator.
-    The apex column is zero, as no cell has dimension -1.
+    `border` maps each border cell to its column; `decompose` reads the
+    column from the cell's facet factors, walking no vertex.  The column
+    of Tb is read from the column of b through `cone`, and handed to the
+    differential as the value of Tb's generator.  The apex column is zero,
+    as no cell has dimension -1.
     """
 
-    def __init__(self, n: int, apex, cone: dict):
+    def __init__(self, n: int, apex, border: dict):
         self.n = n
         self.apex = apex
-        self.cone = cone
-        self.cells = (*cone, apex, *cone.values())
+        self.cone = {b: corolla(cone_symbol(b))
+                     for b in sorted(border, key=lambda t: t.sort_key())}
+        self.cells = (*self.cone, apex, *self.cone.values())
         degrees = {t: tree_degree(t) for t in self.cells}
         order = sorted(self.cells, key=lambda t: (-tree_degree(t), t.sort_key()))
         self.space = GradedSpace(order, degrees)
         cols = {}
         for t in order:
-            if t in cone:
-                cols[t] = boundary(t).terms
+            if t in border:
+                cols[t] = border[t]
             elif t is not apex:
                 val = self._cone_value(t.symbol.payload, cols)
                 _diff.define(t.symbol, val)
@@ -244,22 +246,45 @@ class CellComplex:
         return max((dimension(t) for t in self.cells), default=0)
 
 
-def facets(n: int) -> dict:
-    """Coarse facets of K(n): (p, q, l) -> frozenset of decomposed cells."""
-    out = {}
+def _facet_groups(n: int):
+    """Yield ((p, q, l), group) for each coarse facet K(p) o_l K(q) of
+    K(n), one at a time: group[a, b] = plug(a, blocks) = (t, odd), the cell
+    t = (-1)^odd a o_l b, for every cell a of K(p) and b of K(q)."""
     for q in range(2, n):
         p = n + 1 - q
         cells_p, cells_q = decompose(p).cells, decompose(q).cells
         for l in range(1, p + 1):
-            # each inner cell relabeled once per slot; a set needs no sign
+            # each inner cell relabeled once per slot
             shift = {k: l + k - 1 for k in range(1, q + 1)}
             blocks = [Leaf(k if k < l else k + q - 1) for k in range(1, p + 1)]
-            face = set()
+            group = {}
             for b in cells_q:
                 blocks[l - 1] = relabel(b, shift)
-                face.update(plug(a, blocks)[0] for a in cells_p)
-            out[(p, q, l)] = frozenset(face)
-    return out
+                for a in cells_p:
+                    group[a, b] = plug(a, blocks)
+            yield (p, q, l), group
+
+
+def _facet_column(group: dict, a, b, da: dict, db: dict) -> dict:
+    """The column of the cell of group[a, b], from the columns da of K(p)
+    and db of K(q): d(a o_l b) = da o_l b + (-1)^|a| a o_l db, each term a
+    cell of the same group."""
+    _, odd = group[a, b]
+    col = {}
+    for a2, c in da.get(a, {}).items():
+        u, o = group[a2, b]
+        vec_acc(col, u, -c if odd ^ o else c)
+    odd ^= a.total_degree & 1
+    for b2, c in db.get(b, {}).items():
+        u, o = group[a, b2]
+        vec_acc(col, u, -c if odd ^ o else c)
+    return col
+
+
+def facets(n: int) -> dict:
+    """Coarse facets of K(n): (p, q, l) -> frozenset of decomposed cells."""
+    return {key: frozenset(t for t, _ in group.values())
+            for key, group in _facet_groups(n)}
 
 
 def decompose(n: int) -> CellComplex:
@@ -268,14 +293,15 @@ def decompose(n: int) -> CellComplex:
     if n < 0:
         raise CellError("arity must be >= 0")
     if n not in _complexes:
-        if n <= 2:
-            apex, cone = point_cell(n), {}
-        else:
-            border = sorted(frozenset().union(*facets(n).values()),
-                            key=lambda t: t.sort_key())
-            apex = corolla(apex_symbol(n))
-            cone = {b: corolla(cone_symbol(b)) for b in border}
-        _complexes[n] = CellComplex(n, apex, cone)
+        apex = point_cell(n) if n <= 2 else corolla(apex_symbol(n))
+        border = {}  # a cell's column, from the first facet that builds it
+        for (p, q, _), group in _facet_groups(n):
+            # the walk has decomposed K(p) and K(q)
+            da, db = _complexes[p].d.entries, _complexes[q].d.entries
+            for (a, b), (t, _) in group.items():
+                if t not in border:
+                    border[t] = _facet_column(group, a, b, da, db)
+        _complexes[n] = CellComplex(n, apex, border)
     return _complexes[n]
 
 

@@ -40,6 +40,7 @@ exact_chain.Scalar (int or Fraction).
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import factorial as _factorial, prod
 
 from .exact_chain import (
@@ -989,8 +990,20 @@ class SchoutenTruncation:
         """Multisets of basis words (sorted by (length, word)); odd-parity
         components may not repeat.  Built once; every call returns the same
         tuple."""
-        if self._pbasis is not None:
-            return self._pbasis
+        if self._pbasis is None:
+            self._build_p_basis()
+        return self._pbasis
+
+    def p_block(self, words, letters):
+        """The elements of p_basis() with `words` components and `letters`
+        letters, in basis order."""
+        if self._pblocks is None:
+            self._build_p_basis()
+        return self._pblocks.get((words, letters), ())
+
+    def _build_p_basis(self):
+        """Build the basis once, and group it into its (components,
+        letters) blocks in the same step."""
         pool = []
         for k in range(1, self.lcap + 1):
             pool.extend(self.word_block(k)[0])
@@ -1014,17 +1027,10 @@ class SchoutenTruncation:
 
         rec(0, [], 0, 0)
         self._pbasis = tuple(z for _, z in sorted(out))
-        return self._pbasis
-
-    def p_block(self, words, letters):
-        """The elements of p_basis() with `words` components and `letters`
-        letters, in basis order; the basis is grouped once."""
-        if self._pblocks is None:
-            blocks = {}
-            for z in self.p_basis():
-                blocks.setdefault((len(z), self.z_letters(z)), []).append(z)
-            self._pblocks = {k: tuple(b) for k, b in blocks.items()}
-        return self._pblocks.get((words, letters), ())
+        blocks = {}
+        for z in self._pbasis:
+            blocks.setdefault((len(z), self.z_letters(z)), []).append(z)
+        self._pblocks = {k: tuple(b) for k, b in blocks.items()}
 
     def koszul_sort(self, words):
         """(sign, words sorted by (length, word)) with the Koszul sign of the
@@ -1506,8 +1512,9 @@ def extension_report(weight_cap=3, letter_cap=3):
     ctx = SchoutenTruncation(weight_cap, letter_cap)
     model = SchoutenDualModel(ctx)
     P = model.P
-    dm = lambda z: schouten_d_product(ctx, z)
-    dbr = lambda z: schouten_d_bracket(ctx, z)
+    # each coderivation applied once per basis element in this call
+    dm = cache(lambda z: schouten_d_product(ctx, z))
+    dbr = cache(lambda z: schouten_d_bracket(ctx, z))
 
     def bad(*pairs):
         """Basis elements on which the sum of the composites is nonzero."""

@@ -101,11 +101,13 @@ class Node:
             obj = super().__new__(cls)
             obj.symbol = symbol
             obj.children = children
-            obj.letters = tuple(l for c in children for l in c.letters)
-            obj.nverts = 1 + sum(c.nverts for c in children)
-            obj.nleaves = len(obj.letters)
-            obj.total_degree = symbol.degree + sum(
-                c.total_degree for c in children)
+            letters, nverts, degree = (), 1, symbol.degree
+            for c in children:
+                letters += c.letters
+                nverts += c.nverts
+                degree += c.total_degree
+            obj.letters, obj.nleaves = letters, len(letters)
+            obj.nverts, obj.total_degree = nverts, degree
             obj._key = obj._text = None
             cls._cache[key] = obj
         return obj
@@ -128,7 +130,7 @@ IDENTITY_TREE = Leaf(1)
 def corolla(symbol: GeneratorSymbol, labels: Optional[Iterable] = None) -> Node:
     if labels is None:
         labels = range(1, symbol.arity + 1)
-    return Node(symbol, tuple(Leaf(l) for l in labels))
+    return Node(symbol, tuple(map(Leaf, labels)))
 
 
 def leaf_labels(t: Tree) -> list:

@@ -206,18 +206,32 @@ def test_commuting_square_deletion_vs_graft():
 
 
 def test_intersections_agree():
-    # a cell reachable through two different facets is the same tree with
-    # the same boundary; check every facet pair for p+q+r <= 8
+    # a cell reachable through two or more facets is the same tree, and
+    # every decomposition a o_l b of it gives the same factor-derived
+    # column, its boundary; checked on every facet of K(4..6)
     for n in range(4, 7):
-        fs = facets(n)
-        cells_seen = {}
-        for key, cells in fs.items():
-            for t in cells:
-                cells_seen.setdefault(t, []).append(key)
-        shared = [t for t, ks in cells_seen.items() if len(ks) > 1]
+        cols = {}
+        for (p, q, _), group in ah._facet_groups(n):
+            da, db = decompose(p).d.entries, decompose(q).d.entries
+            for (a, b), (t, _) in group.items():
+                cols.setdefault(t, []).append(
+                    ah._facet_column(group, a, b, da, db))
+        shared = {t: cs for t, cs in cols.items() if len(cs) > 1}
         assert shared, f"no shared intersection cells at n={n}"
-        for t in shared:
-            boundary(t)  # well-defined independent of the facet
+        for t, cs in shared.items():
+            want = boundary(t).terms
+            assert all(col == want for col in cs), (n, t)
+
+
+def test_decompose_columns_are_the_free_differential():
+    # border columns are read from the facet factors, cone columns through
+    # the cone table; both agree with the boundary walked over the tree
+    for n in range(2, 7):
+        cx = decompose(n)
+        for t in cx.cells:
+            col = cx.d.entries.get(t, {})
+            assert col == boundary(t).terms, (n, t)
+            assert all(type(c) is int for c in col.values()), (n, t)
 
 
 def test_facets_match_grafted_cells():
@@ -326,6 +340,6 @@ def test_cone_table_must_hold_every_border_face():
     # cone over an edge through it is built
     cx = decompose(4)
     v = next(b for b in cx.cone if dimension(b) == 0)
-    cone = {b: tb for b, tb in cx.cone.items() if b is not v}
+    border = {b: cx.d.column(b) for b in cx.cone if b is not v}
     with pytest.raises(CellError, match="not a border cell"):
-        CellComplex(4, cx.apex, cone)
+        CellComplex(4, cx.apex, border)
