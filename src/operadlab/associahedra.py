@@ -28,6 +28,13 @@ When `decompose` does enumerate K(n), it walks no cell's vertices: it reads
 each border column a o_l b from the columns of a and b, as d is a derivation
 of composition, and each cone column from its base's column through the
 cone table, and hands the cone values to the differential.
+
+Nothing here names or sorts cells.  The cells of K(n) are ordered by
+dimension, and within a dimension in the order in which the facet walk
+first meets them (the border cells, the apex, then the cones in the order
+of their bases); that order depends only on n.  A cone generator is
+interned on its base, and its name T[...] is built only when something
+first reads it (`format_tree`, `sort_key`, `repr`, an error message).
 """
 
 from __future__ import annotations
@@ -57,11 +64,35 @@ def apex_symbol(n: int) -> GeneratorSymbol:
     return GeneratorSymbol(f"O{n}", n, 0)
 
 
+class ConeSymbol(GeneratorSymbol):
+    """The generator T b of the cone over a boundary cell b (the payload):
+    the arity of b, one dimension up.  Interned with the other symbols, on
+    (arity, degree, payload); its name T[...] is built from b when it is
+    first read, and then kept."""
+
+    __slots__ = ("_name",)
+
+    def __new__(cls, base):
+        n, degree = base.nleaves, base.total_degree - 1
+        key = (cls, n, degree, base)
+        obj = cls._cache.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            obj.arity, obj.degree, obj.payload = n, degree, base
+            obj._name = None
+            cls._cache[key] = obj
+        return obj
+
+    @property
+    def name(self) -> str:
+        if self._name is None:
+            self._name = f"T[{format_tree(self.payload)}]"
+        return self._name
+
+
 def cone_symbol(base) -> GeneratorSymbol:
     """The cone cell over a boundary cell, one dimension up."""
-    n = tree_arity(base)
-    return GeneratorSymbol(f"T[{format_tree(base)}]", n,
-                           tree_degree(base) - 1, payload=base)
+    return ConeSymbol(base)
 
 
 def is_cone(sym: GeneratorSymbol) -> bool:
@@ -147,29 +178,33 @@ class CellComplex:
     each border cell b.
 
     `border` maps each border cell to its column; `decompose` reads the
-    column from the cell's facet factors, walking no vertex.  The column
-    of Tb is read from the column of b through `cone`, and handed to the
-    differential as the value of Tb's generator.  The apex column is zero,
-    as no cell has dimension -1.
+    column from the cell's facet factors, walking no vertex, and inserts
+    the cells in the order in which the facet walk first meets them.
+    `cone` keeps that order, and `cells` is the border cells, the apex,
+    then the cones.  The basis `space.labels` is `cells` grouped by
+    dimension, lowest first, each group in `cells` order; no cell is
+    named or sorted, and a cone's name is built when it is first read.
+    The column of Tb is read from the column of b through `cone`, and
+    handed to the differential as the value of Tb's generator.  The apex
+    column is zero, as no cell has dimension -1.
     """
 
     def __init__(self, n: int, apex, border: dict):
         self.n = n
         self.apex = apex
-        self.cone = {b: corolla(cone_symbol(b))
-                     for b in sorted(border, key=lambda t: t.sort_key())}
+        self.cone = {b: corolla(cone_symbol(b)) for b in border}
         self.cells = (*self.cone, apex, *self.cone.values())
-        degrees = {t: tree_degree(t) for t in self.cells}
-        order = sorted(self.cells, key=lambda t: (-tree_degree(t), t.sort_key()))
-        self.space = GradedSpace(order, degrees)
-        cols = {}
-        for t in order:
-            if t in border:
-                cols[t] = border[t]
-            elif t is not apex:
-                val = self._cone_value(t.symbol.payload, cols)
-                _diff.define(t.symbol, val)
-                cols[t] = val.terms
+        by_dim: dict = {}
+        for t in self.cells:
+            by_dim.setdefault(-t.total_degree, []).append(t)
+        self.space = GradedSpace(
+            [t for k in sorted(by_dim) for t in by_dim[k]],
+            {t: t.total_degree for t in self.cells})
+        cols = dict(border)
+        for b, tb in self.cone.items():
+            val = self._cone_value(b, border)
+            _diff.define(tb.symbol, val)
+            cols[tb] = val.terms
         self.d = GradedMap(self.space, self.space, 1, cols)
         self.complex = Complex(self.space, self.d)  # checks d*d = 0
         self._homology = None
@@ -241,9 +276,6 @@ class CellComplex:
                     self._contractible = False
                     break
         return self._contractible
-
-    def top_dimension(self) -> int:
-        return max((dimension(t) for t in self.cells), default=0)
 
 
 def _facet_groups(n: int):

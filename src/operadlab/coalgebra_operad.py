@@ -205,25 +205,6 @@ def cone(a: DgCoalgebra) -> DgCoalgebra:
     return DgCoalgebra(sp, d, delta, counit)
 
 
-def cone_map(phi: Mapping, a: DgCoalgebra, cone_b: DgCoalgebra,
-             check: bool = True) -> dict:
-    """Extend a coalgebra morphism phi: a -> cone(b) over the cone of a.
-
-    Columns of the result: on a it is phi; on T(u) it is T applied to the
-    component of phi(u) lying in b; the apex goes to the apex.
-    """
-    if check:
-        check_morphism(phi, a, cone_b)
-    # the base labels of cone_b are those whose T-copy is also present
-    base = {l for l in cone_b.space.labels
-            if l != APEX and _t(l) in cone_b.space.index}
-    out = {l: dict(phi.get(l, {})) for l in a.space.labels}
-    for l in a.space.labels:
-        out[_t(l)] = {_t(m): c for m, c in phi.get(l, {}).items() if m in base}
-    out[APEX] = {APEX: 1}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the operad of chain coalgebras of associahedra
 
@@ -326,37 +307,9 @@ def build_A(max_arity: int) -> CoalgebraOperad:
     return CoalgebraOperad(arities, ah.insert_chain, "A")
 
 
-def as_operad(max_arity: int = 8) -> CoalgebraOperad:
-    """The terminal coalgebra operad: the ground field in every arity."""
-    arities = {n: ground_coalgebra(("one", n)) for n in range(0, max_arity + 1)}
-
-    def compose_fn(p, q, l, x, y):
-        cx = x.get(("one", p), 0)
-        cy = 1 if y is None else y.get(("one", q), 0)
-        return {("one", p + q - 1): cx * cy}
-
-    return CoalgebraOperad(arities, compose_fn, "As")
-
-
 def counit_morphism(e) -> Scalar:
     """The operad morphism to the terminal operad: a chain goes to the sum
     of its vertex-cell coefficients."""
     if isinstance(e, OperadElement):
         return ah.augmentation(e)
     return ah.augmentation(OperadElement.from_tree(e))
-
-
-# ---------------------------------------------------------------------------
-# cross-module identifications
-
-def coalgebra_of_boundary(n: int) -> DgCoalgebra:
-    """The chain coalgebra of the decomposed boundary of K(n)."""
-    cx = ah.decompose(n)
-    labels = [t for t in cx.space.labels if t.nverts >= 2]
-    sp = GradedSpace(labels, {t: cx.space.degree(t) for t in labels})
-    d = GradedMap(sp, sp, 1,
-                  {t: {s: c for s, c in ah.boundary(t).terms.items()}
-                   for t in labels})
-    delta = {t: delta_cell(t) for t in labels}
-    counit = {t: 1 for t in labels if tree_degree(t) == 0}
-    return DgCoalgebra(sp, d, delta, counit, check=False)

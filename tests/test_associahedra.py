@@ -1,6 +1,11 @@
 import copy
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,15 +17,20 @@ from operadlab.associahedra import (
 )
 from operadlab.exact_chain import span, vec_acc
 from operadlab.operad_core import (
-    FreeDifferential, Leaf, Node, OperadElement, corolla, graft_tree,
+    FreeDifferential, Leaf, Node, OperadElement, corolla, format_tree,
+    graft_tree,
 )
+
+
+def top_dimension(cx):
+    return max((dimension(t) for t in cx.cells), default=0)
 
 
 def test_points():
     for n in (0, 1, 2):
         cx = decompose(n)
         assert cx.counts() == {0: 1}
-        assert cx.top_dimension() == 0
+        assert top_dimension(cx) == 0
 
 
 def test_k3_counts():
@@ -42,7 +52,7 @@ def test_contractibility_up_to_6():
         dims = cx.homology_dims()
         assert dims[0] == 1
         assert all(v == 0 for k, v in dims.items() if k != 0)
-        assert cx.top_dimension() == max(n - 2, 0)
+        assert top_dimension(cx) == max(n - 2, 0)
         # the cone's contracting homotopy certifies the same homology
         assert cx.contracting_homotopy_holds()
 
@@ -335,11 +345,84 @@ def test_define_checks_the_value_it_keeps():
     assert d.value(g) is value
 
 
+def _eager_text(t):
+    """The text of a cell, each cone generator named T[text of its base]
+    as the name is built eagerly."""
+    if isinstance(t, Leaf):
+        return str(t.label)
+    sym = t.symbol
+    name = f"T[{_eager_text(sym.payload)}]" if ah.is_cone(sym) else sym.name
+    return f"{name}({','.join(_eager_text(c) for c in t.children)})"
+
+
 def test_cone_table_must_hold_every_border_face():
     # a border vertex missing from the cone table cannot be coned when the
-    # cone over an edge through it is built
+    # cone over an edge through it is built; the error names both cells
     cx = decompose(4)
     v = next(b for b in cx.cone if dimension(b) == 0)
     border = {b: cx.d.column(b) for b in cx.cone if b is not v}
-    with pytest.raises(CellError, match="not a border cell"):
+    with pytest.raises(CellError, match="not a border cell") as err:
         CellComplex(4, cx.apex, border)
+    assert str(err.value) in {
+        f"{_eager_text(v)}, in the boundary of {_eager_text(b)}, "
+        "is not a border cell"
+        for b, col in border.items() if v in col}
+    assert "T[" in str(err.value)
+
+
+def test_cone_names_are_built_on_first_read(monkeypatch):
+    for n in range(2, 7):
+        cx = decompose(n)
+        for t in cx.cells:
+            assert format_tree(t) == _eager_text(t), n
+        for b, tb in cx.cone.items():
+            sym = tb.symbol
+            assert cone_symbol(b) is cone_symbol(b) is sym
+            name = f"T[{_eager_text(b)}]"
+            assert repr(sym) == f"GeneratorSymbol({name!r}, {n}, {sym.degree})"
+    # a cone over a cell that no complex holds: building its symbol reads
+    # no name, and the name is the eager text once read
+    base = graft_tree(corolla(apex_symbol(9)), corolla(apex_symbol(3)), 4)[1]
+
+    def no_text(t):
+        raise AssertionError("format_tree called while building a symbol")
+    monkeypatch.setattr(ah, "format_tree", no_text)
+    sym = cone_symbol(base)
+    assert (sym.arity, sym.degree, sym.payload) == (11, -1, base)
+    assert cone_symbol(base) is sym
+    monkeypatch.undo()
+    assert sym.name == f"T[{_eager_text(base)}]"
+    assert sym.sort_key() == (sym.name, 11, -1)
+
+
+def _labels_in_fresh_interpreter(tmp_path, hashseed, warm):
+    # launched as test_cli_subprocess_byte_identical launches its children
+    root = str(Path(ah.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys; from operadlab import associahedra as ah; "
+            "from operadlab.operad_core import format_tree; "
+            "warm = sys.argv[1] == 'warm'; "
+            "warm and (ah.boundary(ah.fundamental_class(5)), ah.decompose(3)); "
+            "print(json.dumps([[format_tree(t), ah.dimension(t)] "
+            "for t in ah.decompose(6).space.labels]))")
+    p = subprocess.run([sys.executable, "-c", code, warm],
+                       capture_output=True, cwd=tmp_path,
+                       env=dict(os.environ, PYTHONPATH=path,
+                                PYTHONHASHSEED=hashseed))
+    assert p.returncode == 0, p.stderr.decode(errors="replace")
+    return json.loads(p.stdout)
+
+
+def test_cell_order_depends_only_on_n(tmp_path):
+    cold = _labels_in_fresh_interpreter(tmp_path, "1", "cold")
+    warm = _labels_in_fresh_interpreter(tmp_path, "2", "warm")
+    assert cold == warm
+    assert len(cold) == 6385
+    dims = [k for _, k in cold]
+    assert dims == sorted(dims)
+    # this process's history differs again
+    cx = decompose(6)
+    assert cold == [[format_tree(t), dimension(t)] for t in cx.space.labels]
+    # grouped by dimension, in facet-walk order within each dimension
+    assert list(cx.space.labels) == [t for k in range(5) for t in cx.cells
+                                     if dimension(t) == k]

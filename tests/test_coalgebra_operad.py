@@ -5,9 +5,9 @@ import pytest
 
 from operadlab import associahedra as ah
 from operadlab.coalgebra_operad import (
-    APEX, CoalgebraError, DgCoalgebra, as_operad, build_A, check_morphism,
-    coalgebra_of_boundary, cone, cone_map, counit_morphism, delta_cell,
-    delta_chain, ground_coalgebra, _t,
+    APEX, CoalgebraError, CoalgebraOperad, DgCoalgebra, build_A,
+    check_morphism, cone, counit_morphism, delta_cell, delta_chain,
+    ground_coalgebra, _t,
 )
 from operadlab.exact_chain import GradedMap, GradedSpace, vec_acc
 from operadlab.operad_core import (
@@ -16,6 +16,49 @@ from operadlab.operad_core import (
 )
 
 F = Fraction
+
+
+def cone_map(phi, a, cone_b, check=True):
+    """Extend a coalgebra morphism phi: a -> cone(b) over the cone of a.
+
+    Columns of the result: on a it is phi; on T(u) it is T applied to the
+    component of phi(u) lying in b; the apex goes to the apex.
+    """
+    if check:
+        check_morphism(phi, a, cone_b)
+    # the base labels of cone_b are those whose T-copy is also present
+    base = {l for l in cone_b.space.labels
+            if l != APEX and _t(l) in cone_b.space.index}
+    out = {l: dict(phi.get(l, {})) for l in a.space.labels}
+    for l in a.space.labels:
+        out[_t(l)] = {_t(m): c for m, c in phi.get(l, {}).items() if m in base}
+    out[APEX] = {APEX: 1}
+    return out
+
+
+def as_operad(max_arity=8):
+    """The terminal coalgebra operad: the ground field in every arity."""
+    arities = {n: ground_coalgebra(("one", n)) for n in range(0, max_arity + 1)}
+
+    def compose_fn(p, q, l, x, y):
+        cx = x.get(("one", p), 0)
+        cy = 1 if y is None else y.get(("one", q), 0)
+        return {("one", p + q - 1): cx * cy}
+
+    return CoalgebraOperad(arities, compose_fn, "As")
+
+
+def coalgebra_of_boundary(n):
+    """The chain coalgebra of the decomposed boundary of K(n)."""
+    cx = ah.decompose(n)
+    labels = [t for t in cx.space.labels if t.nverts >= 2]
+    sp = GradedSpace(labels, {t: cx.space.degree(t) for t in labels})
+    d = GradedMap(sp, sp, 1,
+                  {t: {s: c for s, c in ah.boundary(t).terms.items()}
+                   for t in labels})
+    delta = {t: delta_cell(t) for t in labels}
+    counit = {t: 1 for t in labels if tree_degree(t) == 0}
+    return DgCoalgebra(sp, d, delta, counit, check=False)
 
 
 def test_ground_coalgebra_valid():
