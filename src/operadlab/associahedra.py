@@ -22,12 +22,12 @@ alone:
     d(apex) = 0,    d(T b) = b - T(db) - aug(b) * apex,
 
 with T applied termwise to the boundary cells of db and aug(b) the
-coefficient sum of the dimension-0 cells of b.  The boundary of any cell
-is therefore defined whether or not `decompose` has enumerated its K(n).
-When `decompose` does enumerate K(n), it walks no cell's vertices: it reads
-each border column a o_l b from the columns of a and b, as d is a derivation
-of composition, and each cone column from its base's column through the
-cone table, and hands the cone values to the differential.
+coefficient sum of the dimension-0 cells of b.  `decompose` builds every
+column of K(n) and walks no cell's vertices: it reads each border column
+a o_l b from the columns of a and b, as d is a derivation of composition,
+and each cone column from its base's column through the cone table.
+`boundary` reads its columns from that table, so it decomposes K(n) first,
+and a tree that is not a cell of K(n) has no boundary.
 
 Nothing here names or sorts cells.  The cells of K(n) are ordered by
 dimension, and within a dimension in the order in which the facet walk
@@ -45,8 +45,8 @@ from .exact_chain import (
     Complex, GradedMap, GradedSpace, Scalar, vec_acc, vec_axpy,
 )
 from .operad_core import (
-    FreeDifferential, GeneratorSymbol, Leaf, Node, OperadElement, corolla,
-    format_tree, graft, leaf_labels, plug, relabel, tree_arity, tree_degree,
+    GeneratorSymbol, Leaf, Node, OperadElement, corolla, format_tree, graft,
+    leaf_labels, plug, relabel, tree_arity, tree_degree,
 )
 
 
@@ -150,26 +150,19 @@ def cone_chain_or_collapse(e: OperadElement) -> OperadElement:
 _complexes: dict = {}        # n -> CellComplex
 
 
-def _cell_differential(sym: GeneratorSymbol) -> Optional[OperadElement]:
-    """d(T b) = b - T(db) - aug(b) * apex; apexes are cycles."""
-    if not is_cone(sym):
-        return None
-    b = _el(sym.payload)
-    val = b.sub(cone_chain(boundary(b)))
-    eps = augmentation(b)
-    if eps:
-        val = val.sub(_el(corolla(apex_symbol(sym.arity)), eps))
-    return val
-
-
-_diff = FreeDifferential(_cell_differential)
-
-
 def boundary(cell_or_chain) -> OperadElement:
-    """Signed cellular boundary (degree +1 cohomologically)."""
-    if isinstance(cell_or_chain, OperadElement):
-        return _diff(cell_or_chain)
-    return _diff(_el(cell_or_chain))
+    """Signed cellular boundary (degree +1 cohomologically): the sum of the
+    columns of `decompose(n).d` over the terms of a chain of arity n.
+    Raises CellError on a term that is not a cell of K(n)."""
+    e = cell_or_chain if isinstance(cell_or_chain, OperadElement) \
+        else _el(cell_or_chain)
+    cx = decompose(e.arity)
+    terms = {}
+    for t, c in e.terms.items():
+        if t not in cx.space:
+            raise CellError(f"{format_tree(t)} is not a cell of K({e.arity})")
+        vec_axpy(terms, c, cx.d.entries.get(t, {}))
+    return OperadElement(e.arity, terms)
 
 
 class CellComplex:
@@ -184,9 +177,8 @@ class CellComplex:
     then the cones.  The basis `space.labels` is `cells` grouped by
     dimension, lowest first, each group in `cells` order; no cell is
     named or sorted, and a cone's name is built when it is first read.
-    The column of Tb is read from the column of b through `cone`, and
-    handed to the differential as the value of Tb's generator.  The apex
-    column is zero, as no cell has dimension -1.
+    The column of Tb is read from the column of b through `cone`.  The
+    apex column is zero, as no cell has dimension -1.
     """
 
     def __init__(self, n: int, apex, border: dict):
@@ -202,9 +194,7 @@ class CellComplex:
             {t: t.total_degree for t in self.cells})
         cols = dict(border)
         for b, tb in self.cone.items():
-            val = self._cone_value(b, border)
-            _diff.define(tb.symbol, val)
-            cols[tb] = val.terms
+            cols[tb] = self._cone_value(b, border).terms
         self.d = GradedMap(self.space, self.space, 1, cols)
         self.complex = Complex(self.space, self.d)  # checks d*d = 0
         self._homology = None
@@ -223,9 +213,6 @@ class CellComplex:
         if tree_degree(b) == 0:
             val = val.sub(OperadElement(self.n, {self.apex: 1}))
         return val
-
-    def cells_of_dimension(self, k: int):
-        return [t for t in self.space.labels if tree_degree(t) == -k]
 
     def counts(self) -> dict:
         out: dict = {}
@@ -311,12 +298,6 @@ def _facet_column(group: dict, a, b, da: dict, db: dict) -> dict:
         u, o = group[a, b2]
         vec_acc(col, u, -c if odd ^ o else c)
     return col
-
-
-def facets(n: int) -> dict:
-    """Coarse facets of K(n): (p, q, l) -> frozenset of decomposed cells."""
-    return {key: frozenset(t for t, _ in group.values())
-            for key, group in _facet_groups(n)}
 
 
 def decompose(n: int) -> CellComplex:
@@ -406,19 +387,6 @@ def insert_chain(p: int, q: int, l: int,
     if chain_q is None or chain_q.arity != q:
         raise CellError("second chain has wrong arity")
     return graft(chain_p, chain_q, l)
-
-
-def insert(p: int, q: int, l: int, cell_p, cell_q=None):
-    """Cell-level insertion; returns the image cell, or None if the image
-    is degenerate (q = 0 collapse)."""
-    cq = None if cell_q is None else _el(cell_q)
-    res = insert_chain(p, q, l, _el(cell_p), cq)
-    if res.is_zero():
-        return None
-    (t, c), = res.terms.items()
-    if c not in (1, -1):
-        raise CellError("unexpected coefficient on a cell image")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Dg coalgebras with counit, the cone construction, and the operad of
-chain coalgebras of decomposed associahedra.
+"""Dg coalgebras with counit, and the operad of chain coalgebras of
+decomposed associahedra.
 
 Comultiplications are stored sparsely as label -> {(label, label): coeff}
 rather than as matrices into a materialized tensor-square space; the
@@ -11,7 +11,9 @@ vertex-wise: choose a comultiplication component at every vertex, collect
 the first components into a same-shape tree, substitute every second
 component into its vertex at once (`operad_core.substitute`, which builds
 each output tree once with its one Koszul sign), and apply the Koszul
-interleaving sign of regrouping the per-vertex pairs.
+interleaving sign of regrouping the per-vertex pairs.  A cone generator
+Tb has Delta(Tb) = (T ox id) Delta(b) + apex ox Tb, so its components are
+read from the coproduct of its base b (`_delta_gen`).
 """
 
 from __future__ import annotations
@@ -34,18 +36,17 @@ class CoalgebraError(Exception):
 class DgCoalgebra:
     """Complex with coassociative counital comultiplication; d a coderivation.
 
-    delta: label -> {(l1, l2): coeff}; counit: label -> coeff.
+    delta: label -> {(l1, l2): coeff}; counit: label -> coeff.  Nothing is
+    checked on construction; `validate` checks the axioms.
     """
 
     def __init__(self, space: GradedSpace, d: GradedMap,
-                 delta: Mapping, counit: Mapping, check: bool = True):
+                 delta: Mapping, counit: Mapping):
         self.space = space
         self.d = d
         self.delta = {l: vec_clean(col) for l, col in delta.items()
                       if vec_clean(col)}
         self.counit = {l: c for l, c in counit.items() if c}
-        if check:
-            self.validate()
 
     def delta_of(self, label) -> dict:
         return dict(self.delta.get(label, {}))
@@ -118,93 +119,6 @@ class DgCoalgebra:
         self.check_counit_chain_map()
 
 
-def check_morphism(f: Mapping, source: DgCoalgebra, target: DgCoalgebra):
-    """Raise unless the degree-0 map given by columns f is a dg coalgebra
-    morphism."""
-    for x in source.space.labels:
-        fx = vec_clean(f.get(x, {}))
-        # chain map
-        lhs = {}
-        for y, c in source.d.column(x).items():
-            vec_axpy(lhs, c, f.get(y, {}))
-        rhs = {}
-        for y, c in fx.items():
-            vec_axpy(rhs, c, target.d.column(y))
-        if lhs != rhs:
-            raise CoalgebraError(f"not a chain map at {x!r}")
-        # comultiplication
-        lhs2: dict = {}
-        for (a, b), c in source.delta.get(x, {}).items():
-            for a2, ca in f.get(a, {}).items():
-                for b2, cb in f.get(b, {}).items():
-                    vec_acc(lhs2, (a2, b2), c * ca * cb)
-        rhs2: dict = {}
-        for y, c in fx.items():
-            vec_axpy(rhs2, c, target.delta.get(y, {}))
-        if lhs2 != rhs2:
-            raise CoalgebraError(f"comultiplication not respected at {x!r}")
-        # counit
-        if source.eps_of(x) != target.eps_chain(fx):
-            raise CoalgebraError(f"counit not respected at {x!r}")
-
-
-def ground_coalgebra(label="1") -> DgCoalgebra:
-    """The ground field as a coalgebra on one grouplike generator."""
-    sp = GradedSpace((label,), {label: 0})
-    d = GradedMap.zero(sp, sp, 1)
-    return DgCoalgebra(sp, d, {label: {(label, label): 1}}, {label: 1})
-
-
-# ---------------------------------------------------------------------------
-# cone
-
-APEX = ("apex",)
-
-
-def _t(label):
-    return ("T", label)
-
-
-def cone(a: DgCoalgebra) -> DgCoalgebra:
-    """Cone over a counital dg coalgebra.
-
-    Basis: the labels of a, a degree-shifted copy T(label), and the apex.
-    d(Tu) = u - T(du) - eps(u) apex;  Delta(Tu) = (T ox id)Delta(u)
-    + apex ox Tu;  the apex is grouplike.
-    """
-    labels = list(a.space.labels)
-    for l in a.space.labels:
-        if _t(l) in a.space.index or l == APEX:
-            raise CoalgebraError("label clash while building the cone")
-        labels.append(_t(l))
-    labels.append(APEX)
-    degrees = dict(a.space.degrees)
-    for l in a.space.labels:
-        degrees[_t(l)] = a.space.degree(l) - 1
-    degrees[APEX] = 0
-    sp = GradedSpace(labels, degrees)
-
-    entries = {l: a.d.column(l) for l in a.space.labels}
-    for l in a.space.labels:
-        col = {l: 1}
-        for m, c in a.d.column(l).items():
-            vec_acc(col, _t(m), -c)
-        vec_acc(col, APEX, -a.eps_of(l))
-        entries[_t(l)] = col
-    d = GradedMap(sp, sp, a.d.shift, entries)
-
-    delta = {l: a.delta_of(l) for l in a.space.labels}
-    for l in a.space.labels:
-        col = {(_t(x), y): c for (x, y), c in a.delta_of(l).items()}
-        vec_acc(col, (APEX, _t(l)), 1)
-        delta[_t(l)] = col
-    delta[APEX] = {(APEX, APEX): 1}
-
-    counit = dict(a.counit)
-    counit[APEX] = 1
-    return DgCoalgebra(sp, d, delta, counit)
-
-
 # ---------------------------------------------------------------------------
 # the operad of chain coalgebras of associahedra
 
@@ -271,13 +185,6 @@ def delta_cell(t) -> dict:
     return out
 
 
-def delta_chain(e: OperadElement) -> dict:
-    out: dict = {}
-    for t, c in e.terms.items():
-        vec_axpy(out, c, delta_cell(t))
-    return out
-
-
 class CoalgebraOperad:
     """Arity-indexed dg coalgebras with insertion maps."""
 
@@ -303,7 +210,7 @@ def build_A(max_arity: int) -> CoalgebraOperad:
         delta = {t: delta_cell(t) for t in cx.space.labels}
         counit = {t: 1 for t in cx.space.labels
                   if tree_degree(t) == 0}
-        arities[n] = DgCoalgebra(cx.space, cx.d, delta, counit, check=False)
+        arities[n] = DgCoalgebra(cx.space, cx.d, delta, counit)
     return CoalgebraOperad(arities, ah.insert_chain, "A")
 
 

@@ -223,11 +223,6 @@ def zero_cochain(algebra: Algebra, arity: int) -> Cochain:
     return Cochain(algebra, arity, {})
 
 
-def identity_cochain(algebra: Algebra) -> Cochain:
-    return Cochain(algebra, 1,
-                   {(i,): {i: 1} for i in range(algebra.dim)})
-
-
 def multiplication_cochain(algebra: Algebra) -> Cochain:
     return Cochain(algebra, 2,
                    {(i, j): algebra.mult[(i, j)]
@@ -1072,14 +1067,6 @@ class SchoutenTruncation:
 
     def z_weight(self, z):
         return sum(self.word_weight[w] for w in z)
-
-    def gr2(self, z):
-        """Cobracket count: sum over words of (length - 1)."""
-        return self.z_letters(z) - len(z)
-
-    def gr3(self, z):
-        """Comultiplication count: number of words - 1."""
-        return len(z) - 1
 
 
 def schouten_d_product(ctx, z):

@@ -366,21 +366,12 @@ class FreeDifferential:
 
     rule(g) returns the differential of the generator g, an element of
     degree |g| + 1 and the arity of g, or None when g is a cycle.  The rule
-    is called once per generator; its value is checked then and kept.  A
-    caller that already holds the value hands it over with `define`, and
-    the rule is then not called for that generator.
+    is called once per generator; its value is checked then and kept.
     """
 
     def __init__(self, rule: Callable):
         self.rule = rule
         self._values: dict = {}
-
-    @staticmethod
-    def _check(g: GeneratorSymbol, v: OperadElement):
-        if v.arity != g.arity:
-            raise ValueError(f"differential of {g.name} must preserve arity")
-        if not v.is_zero() and v.degree() != g.degree + 1:
-            raise ValueError(f"differential of {g.name} must raise degree by 1")
 
     def value(self, g: GeneratorSymbol) -> OperadElement:
         v = self._values.get(g)
@@ -388,20 +379,14 @@ class FreeDifferential:
             v = self.rule(g)
             if v is None:
                 v = OperadElement.zero(g.arity)
-            self._check(g, v)
+            if v.arity != g.arity:
+                raise ValueError(
+                    f"differential of {g.name} must preserve arity")
+            if not v.is_zero() and v.degree() != g.degree + 1:
+                raise ValueError(
+                    f"differential of {g.name} must raise degree by 1")
             self._values[g] = v
         return v
-
-    def define(self, g: GeneratorSymbol, value: OperadElement):
-        """Keep value as the differential of g, checked as a rule value is.
-
-        Raises if g already holds a different value; an equal one is fine.
-        """
-        self._check(g, value)
-        old = self._values.setdefault(g, value)
-        if old is not value and old != value:
-            raise ValueError(f"differential of {g.name} is already defined "
-                             "as another value")
 
     def __call__(self, e: OperadElement) -> OperadElement:
         terms = {}
@@ -595,16 +580,3 @@ class ShiftedElement:
 
     def __repr__(self):
         return f"Shift{{{self.m}}}[{self.element!r}]"
-
-
-def shift_operad(e, m: int):
-    """Shift an element into O{m} (or back: shifting a ShiftedElement by -m
-    unwraps it)."""
-    if isinstance(e, ShiftedElement):
-        total = e.m + m
-        if total == 0:
-            return e.element
-        return ShiftedElement(e.element, total)
-    if m == 0:
-        return e
-    return ShiftedElement(e, m)

@@ -31,7 +31,7 @@ integral, and so are the signs, so every coefficient is an `int`.
 
 Sign conventions that the source identities leave open are fixed once by
 requiring d^2 = 0 and the coderivation/coproduct compatibility rules, and
-are exported through `signs_report` / `write_signs`.
+are exported through `signs_report`.
 """
 
 from __future__ import annotations
@@ -374,26 +374,6 @@ def at_parities(fn, ctx, t, blocks, q, *rank) -> dict:
     return out
 
 
-def expand_corestriction(x, profile, rank: int = 1, ctx_name: str = "A",
-                         parities=None) -> dict:
-    """Rank-`rank` corestriction of phi(x) with the given block profile.
-
-    `x` is a cell tree or a chain (OperadElement) of the context; letters
-    1..sum(profile) are split into consecutive blocks, `parities[i]` being
-    the parity of letter i+1 (all even by default).  Returns a mapping
-    word (tuple of expressions, length = rank) -> coefficient.
-    """
-    ctx = context(ctx_name)
-    profile = tuple(profile)
-    blocks = _letter_blocks(profile)
-    q = (0,) * sum(profile) if parities is None else tuple(parities)
-    chain = x if isinstance(x, OperadElement) else _el(x)
-    out = {}
-    for t, c in chain.terms.items():
-        vec_axpy(out, c, at_parities(phi_rank, ctx, t, blocks, q, rank))
-    return out
-
-
 def _letter_blocks(profile):
     blocks = []
     nxt = 1
@@ -636,20 +616,6 @@ def arity2_homology(operad: str = "B") -> dict:
         dims = {d - 1: v for d, v in dims.items()}
         reps = {d - 1: ShiftedElement(e, 1) for d, e in reps.items()}
     return {"dims": dims, "reps": reps}
-
-
-# ---------------------------------------------------------------------------
-# filtration
-
-def filtration_weight(e) -> int:
-    """Minimum number of generator vertices over the terms of an element
-    (every generator has at least one argument beyond the trivial, so each
-    vertex sits in filtration level one)."""
-    if isinstance(e, ShiftedElement):
-        e = e.element
-    if e.is_zero():
-        raise OXError("the zero element has no finite filtration weight")
-    return min(t.nverts for t in e.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +883,3 @@ def signs_report() -> str:
         "",
     ]
     return "\n".join(lines)
-
-
-def write_signs(path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(signs_report())

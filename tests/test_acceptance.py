@@ -17,7 +17,8 @@ from operadlab import coalgebra_operad as co
 from operadlab import ox_construction as ox
 from operadlab import hochschild_lab as hl
 from operadlab import cli_report as cli
-from operadlab.operad_core import OperadElement, corolla, shift_operad
+from operadlab.operad_core import OperadElement, corolla
+from test_operad_core import shift_operad
 
 el = OperadElement.from_tree
 

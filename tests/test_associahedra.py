@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import os
@@ -12,18 +13,62 @@ import pytest
 from operadlab import associahedra as ah
 from operadlab.associahedra import (
     CellComplex, CellError, apex_symbol, augmentation, boundary,
-    boundary_fundamental_cycle, cone_symbol, decompose, dimension, facets,
-    fundamental_class, insert, insert_chain, point_cell,
+    boundary_fundamental_cycle, cone_chain, cone_symbol, decompose,
+    dimension, fundamental_class, insert_chain, point_cell,
 )
 from operadlab.exact_chain import span, vec_acc
 from operadlab.operad_core import (
     FreeDifferential, Leaf, Node, OperadElement, corolla, format_tree,
-    graft_tree,
+    graft_tree, tree_degree,
 )
 
 
 def top_dimension(cx):
     return max((dimension(t) for t in cx.cells), default=0)
+
+
+def cells_of_dimension(cx, k: int):
+    return [t for t in cx.space.labels if tree_degree(t) == -k]
+
+
+def insert(p: int, q: int, l: int, cell_p, cell_q=None):
+    """Cell-level insertion; returns the image cell, or None if the image
+    is degenerate (q = 0 collapse)."""
+    cq = None if cell_q is None else OperadElement.from_tree(cell_q)
+    res = insert_chain(p, q, l, OperadElement.from_tree(cell_p), cq)
+    if res.is_zero():
+        return None
+    (t, c), = res.terms.items()
+    if c not in (1, -1):
+        raise CellError("unexpected coefficient on a cell image")
+    return t
+
+
+def facets(n: int) -> dict:
+    """Coarse facets of K(n): (p, q, l) -> frozenset of decomposed cells."""
+    return {key: frozenset(t for t, _ in group.values())
+            for key, group in ah._facet_groups(n)}
+
+
+@functools.cache
+def ref_cell_differential() -> FreeDifferential:
+    """The cell boundary that reads no table of K(n), built once for the
+    tests: the free derivation of the cone rule, applied recursively to
+    each generator,
+
+        d(apex) = 0,    d(T b) = b - T(db) - aug(b) * apex."""
+    def rule(sym):
+        if not ah.is_cone(sym):
+            return None
+        b = OperadElement.from_tree(sym.payload)
+        val = b.sub(cone_chain(d(b)))
+        eps = augmentation(b)
+        if eps:
+            val = val.sub(OperadElement.from_tree(
+                corolla(apex_symbol(sym.arity)), eps))
+        return val
+    d = FreeDifferential(rule)
+    return d
 
 
 def test_points():
@@ -103,16 +148,15 @@ def test_apex_represents_the_homology_of_a_point():
 
 def test_boundary_of_vertex_is_zero():
     cx = decompose(4)
-    for t in cx.cells_of_dimension(0):
+    for t in cells_of_dimension(cx, 0):
         assert boundary(t).is_zero()
 
 
 def test_cone_over_boundary_vertex_of_k3():
     cx = decompose(3)
-    v = cx.cells_of_dimension(0)[0]
     # pick a boundary vertex (two tree vertices)
-    v = next(t for t in cx.cells_of_dimension(0) if t.nverts == 2)
-    apex = next(t for t in cx.cells_of_dimension(0) if t.nverts == 1)
+    v = next(t for t in cells_of_dimension(cx, 0) if t.nverts == 2)
+    apex = next(t for t in cells_of_dimension(cx, 0) if t.nverts == 1)
     edge = corolla(cone_symbol(v))
     db = boundary(edge)
     assert db == OperadElement.from_tree(v).sub(OperadElement.from_tree(apex))
@@ -135,7 +179,7 @@ def test_insert0_maps_apex_to_apex():
     for n in range(2, 7):
         decompose(n)
         apex = point_cell(2) if n == 2 else \
-            next(t for t in decompose(n).cells_of_dimension(0)
+            next(t for t in cells_of_dimension(decompose(n), 0)
                  if t.nverts == 1)
         for j in range(1, n + 1):
             img = insert(n, 0, j, apex)
@@ -218,7 +262,9 @@ def test_commuting_square_deletion_vs_graft():
 def test_intersections_agree():
     # a cell reachable through two or more facets is the same tree, and
     # every decomposition a o_l b of it gives the same factor-derived
-    # column, its boundary; checked on every facet of K(4..6)
+    # column, its boundary by the cone rule; checked on every facet of
+    # K(4..6)
+    ref = ref_cell_differential()
     for n in range(4, 7):
         cols = {}
         for (p, q, _), group in ah._facet_groups(n):
@@ -229,19 +275,34 @@ def test_intersections_agree():
         shared = {t: cs for t, cs in cols.items() if len(cs) > 1}
         assert shared, f"no shared intersection cells at n={n}"
         for t, cs in shared.items():
-            want = boundary(t).terms
+            want = ref(OperadElement.from_tree(t)).terms
             assert all(col == want for col in cs), (n, t)
 
 
 def test_decompose_columns_are_the_free_differential():
     # border columns are read from the facet factors, cone columns through
-    # the cone table; both agree with the boundary walked over the tree
+    # the cone table; both agree with the cone rule walked over the tree,
+    # and `boundary` reads them
+    ref = ref_cell_differential()
     for n in range(2, 7):
         cx = decompose(n)
         for t in cx.cells:
             col = cx.d.entries.get(t, {})
-            assert col == boundary(t).terms, (n, t)
+            assert col == ref(OperadElement.from_tree(t)).terms, (n, t)
+            assert boundary(t).terms == col, (n, t)
             assert all(type(c) is int for c in col.values()), (n, t)
+
+
+def test_boundary_rejects_a_tree_that_is_not_a_cell():
+    o2 = apex_symbol(2)
+    swapped = Node(o2, (corolla(o2, (2, 1)), Leaf(3)))   # O2(O2(2,1),3)
+    assert swapped not in decompose(3).space
+    for t in (swapped, corolla(cone_symbol(swapped))):
+        with pytest.raises(CellError, match=r"is not a cell of K\(3\)"):
+            boundary(t)
+        chain = OperadElement.from_tree(t).add(fundamental_class(3))
+        with pytest.raises(CellError, match="is not a cell"):
+            boundary(chain)
 
 
 def test_facets_match_grafted_cells():
@@ -283,7 +344,7 @@ def test_difmu(k):
 def test_fundamental_class_is_sum_of_top_cells():
     for k in (2, 3, 4, 5):
         mu = fundamental_class(k)
-        top = set(decompose(k).cells_of_dimension(k - 2))
+        top = set(cells_of_dimension(decompose(k), k - 2))
         assert set(mu.terms) == top
         assert all(type(c) is int and c in (1, -1) for c in mu.terms.values())
 
@@ -302,47 +363,6 @@ def test_insert_errors():
         insert(2, 2, 3, pt, pt)
     with pytest.raises(CellError):
         insert_chain(2, -1, 1, OperadElement.from_tree(pt))
-
-
-def test_cone_boundary_needs_no_decomposition():
-    # b = O7(O2(1,2),3,...,8) is a boundary vertex of K(8); d(T b) = b - O8
-    # follows from b alone, whether or not decompose(8) has run
-    b = Node(apex_symbol(7), (corolla(apex_symbol(2)),)
-             + tuple(Leaf(i) for i in range(3, 9)))
-    tb = OperadElement.from_tree(corolla(cone_symbol(b)))
-    db = boundary(tb)
-    assert db == OperadElement.from_tree(b).sub(
-        OperadElement.from_tree(corolla(apex_symbol(8))))
-    assert boundary(db).is_zero()
-
-
-def test_decompose_defines_the_cone_values_of_the_rule():
-    # each cone column is read from its base's column, and kept as the
-    # value of the cone generator; the rule gives the same value afresh
-    rule = FreeDifferential(ah._cell_differential)
-    for n in range(3, 7):
-        cx = decompose(n)
-        for tb in cx.cone.values():
-            kept = ah._diff.value(tb.symbol)
-            assert kept == rule.value(tb.symbol), tb
-            assert cx.d.column(tb) == kept.terms
-
-
-def test_define_checks_the_value_it_keeps():
-    tb = next(iter(decompose(3).cone.values()))
-    d = FreeDifferential(ah._cell_differential)
-    g = tb.symbol
-    with pytest.raises(ValueError, match="degree"):
-        d.define(g, OperadElement.from_tree(tb))
-    with pytest.raises(ValueError, match="arity"):
-        d.define(g, OperadElement.from_tree(point_cell(2)))
-    assert g not in d._values
-    value = d.rule(g)
-    d.define(g, value)
-    d.define(g, value.scale(1))  # an equal value is fine
-    with pytest.raises(ValueError, match="already defined"):
-        d.define(g, value.scale(-1))
-    assert d.value(g) is value
 
 
 def _eager_text(t):

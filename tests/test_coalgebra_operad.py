@@ -5,17 +5,114 @@ import pytest
 
 from operadlab import associahedra as ah
 from operadlab.coalgebra_operad import (
-    APEX, CoalgebraError, CoalgebraOperad, DgCoalgebra, build_A,
-    check_morphism, cone, counit_morphism, delta_cell, delta_chain,
-    ground_coalgebra, _t,
+    CoalgebraError, CoalgebraOperad, DgCoalgebra, build_A, counit_morphism,
+    delta_cell,
 )
-from operadlab.exact_chain import GradedMap, GradedSpace, vec_acc
+from operadlab.exact_chain import (
+    GradedMap, GradedSpace, vec_acc, vec_axpy, vec_clean,
+)
 from operadlab.operad_core import (
     Leaf, Node, OperadElement, corolla, transpose_sign, tree_degree,
     tree_vertices,
 )
+from test_associahedra import cells_of_dimension
 
 F = Fraction
+
+
+def check_morphism(f, source: DgCoalgebra, target: DgCoalgebra):
+    """Raise unless the degree-0 map given by columns f is a dg coalgebra
+    morphism."""
+    for x in source.space.labels:
+        fx = vec_clean(f.get(x, {}))
+        # chain map
+        lhs = {}
+        for y, c in source.d.column(x).items():
+            vec_axpy(lhs, c, f.get(y, {}))
+        rhs = {}
+        for y, c in fx.items():
+            vec_axpy(rhs, c, target.d.column(y))
+        if lhs != rhs:
+            raise CoalgebraError(f"not a chain map at {x!r}")
+        # comultiplication
+        lhs2: dict = {}
+        for (a, b), c in source.delta.get(x, {}).items():
+            for a2, ca in f.get(a, {}).items():
+                for b2, cb in f.get(b, {}).items():
+                    vec_acc(lhs2, (a2, b2), c * ca * cb)
+        rhs2: dict = {}
+        for y, c in fx.items():
+            vec_axpy(rhs2, c, target.delta.get(y, {}))
+        if lhs2 != rhs2:
+            raise CoalgebraError(f"comultiplication not respected at {x!r}")
+        # counit
+        if source.eps_of(x) != target.eps_chain(fx):
+            raise CoalgebraError(f"counit not respected at {x!r}")
+
+
+def ground_coalgebra(label="1") -> DgCoalgebra:
+    """The ground field as a coalgebra on one grouplike generator."""
+    sp = GradedSpace((label,), {label: 0})
+    d = GradedMap.zero(sp, sp, 1)
+    g = DgCoalgebra(sp, d, {label: {(label, label): 1}}, {label: 1})
+    g.validate()
+    return g
+
+
+APEX = ("apex",)
+
+
+def _t(label):
+    return ("T", label)
+
+
+def cone(a: DgCoalgebra) -> DgCoalgebra:
+    """Cone over a counital dg coalgebra, validated.
+
+    Basis: the labels of a, a degree-shifted copy T(label), and the apex.
+    d(Tu) = u - T(du) - eps(u) apex;  Delta(Tu) = (T ox id)Delta(u)
+    + apex ox Tu;  the apex is grouplike.
+    """
+    labels = list(a.space.labels)
+    for l in a.space.labels:
+        if _t(l) in a.space.index or l == APEX:
+            raise CoalgebraError("label clash while building the cone")
+        labels.append(_t(l))
+    labels.append(APEX)
+    degrees = dict(a.space.degrees)
+    for l in a.space.labels:
+        degrees[_t(l)] = a.space.degree(l) - 1
+    degrees[APEX] = 0
+    sp = GradedSpace(labels, degrees)
+
+    entries = {l: a.d.column(l) for l in a.space.labels}
+    for l in a.space.labels:
+        col = {l: 1}
+        for m, c in a.d.column(l).items():
+            vec_acc(col, _t(m), -c)
+        vec_acc(col, APEX, -a.eps_of(l))
+        entries[_t(l)] = col
+    d = GradedMap(sp, sp, a.d.shift, entries)
+
+    delta = {l: a.delta_of(l) for l in a.space.labels}
+    for l in a.space.labels:
+        col = {(_t(x), y): c for (x, y), c in a.delta_of(l).items()}
+        vec_acc(col, (APEX, _t(l)), 1)
+        delta[_t(l)] = col
+    delta[APEX] = {(APEX, APEX): 1}
+
+    counit = dict(a.counit)
+    counit[APEX] = 1
+    c = DgCoalgebra(sp, d, delta, counit)
+    c.validate()
+    return c
+
+
+def delta_chain(e: OperadElement) -> dict:
+    out: dict = {}
+    for t, c in e.terms.items():
+        vec_axpy(out, c, delta_cell(t))
+    return out
 
 
 def cone_map(phi, a, cone_b, check=True):
@@ -58,7 +155,7 @@ def coalgebra_of_boundary(n):
                    for t in labels})
     delta = {t: delta_cell(t) for t in labels}
     counit = {t: 1 for t in labels if tree_degree(t) == 0}
-    return DgCoalgebra(sp, d, delta, counit, check=False)
+    return DgCoalgebra(sp, d, delta, counit)
 
 
 def test_ground_coalgebra_valid():
@@ -82,6 +179,7 @@ def test_cone_with_odd_primitive_valid():
     delta = {"g": {("g", "g"): F(1)},
              "x": {("x", "g"): F(1), ("g", "x"): F(1)}}
     a = DgCoalgebra(sp, d, delta, {"g": F(1), "x": F(0)})
+    a.validate()
     cone(a).validate()
 
 
@@ -126,8 +224,8 @@ def test_cell_coproducts_are_integer():
 def test_A3_edge_coproduct():
     # Delta(cone over a boundary vertex v) = (T v) ox v + apex ox (T v)
     cx = ah.decompose(3)
-    v = next(t for t in cx.cells_of_dimension(0) if t.nverts == 2)
-    apex = next(t for t in cx.cells_of_dimension(0) if t.nverts == 1)
+    v = next(t for t in cells_of_dimension(cx, 0) if t.nverts == 2)
+    apex = next(t for t in cells_of_dimension(cx, 0) if t.nverts == 1)
     edge = corolla(ah.cone_symbol(v))
     assert delta_cell(edge) == {(edge, v): F(1), (apex, edge): F(1)}
 
@@ -353,7 +451,9 @@ def ground_coalgebra_for_point():
     pt = ah.point_cell(2)
     sp = GradedSpace((pt,), {pt: 0})
     d = GradedMap.zero(sp, sp, 1)
-    return DgCoalgebra(sp, d, {pt: {(pt, pt): F(1)}}, {pt: F(1)})
+    g = DgCoalgebra(sp, d, {pt: {(pt, pt): F(1)}}, {pt: F(1)})
+    g.validate()
+    return g
 
 
 def _iso_from_A(n):

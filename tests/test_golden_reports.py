@@ -18,6 +18,7 @@ from operadlab import associahedra as ah
 from operadlab import cli_report as cli
 from operadlab import ox_construction as ox
 from operadlab.operad_core import format_tree
+from test_ox_construction import expand_corestriction
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,8 +56,8 @@ def corestriction_table() -> str:
         tag = "".join(map(str, parities))
         for cell in ah.decompose(3).cells:
             for r in range(4):
-                out = ox.expand_corestriction(cell, (1, 1, 1), r,
-                                              parities=parities)
+                out = expand_corestriction(cell, (1, 1, 1), r,
+                                           parities=parities)
                 for word, c in out.items():
                     word = " | ".join(format_tree(x) for x in word)
                     lines.append(

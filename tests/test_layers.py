@@ -14,6 +14,8 @@ modules that divide may import `fractions`.
 
 The span boundaries of the benchmark's tracer (`perfbench/tracing.py`)
 name functions and methods of these modules; they must keep resolving.
+Every top-level function and class is used by the source or is such a
+boundary: code that only the tests run lives in the tests.
 """
 import ast
 import importlib
@@ -69,14 +71,20 @@ def test_module_imports_only_lower_layers(module):
         f"{module} imports {sorted(got - ALLOWED[module])} from above its layer"
 
 
-def test_perfbench_boundaries_resolve():
-    # load the tracer's source without installing it or registering it
+def perfbench_boundaries():
+    """The tracer's (span name, module, attribute path) triples, read from
+    its source without installing it or registering it."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.BOUNDARIES
-    for name, module, path in tracing.BOUNDARIES:
+    return tracing.BOUNDARIES
+
+
+def test_perfbench_boundaries_resolve():
+    boundaries = perfbench_boundaries()
+    assert boundaries
+    for name, module, path in boundaries:
         obj = importlib.import_module("operadlab." + module)
         *owners, attr = path.split(".")
         for part in owners:
@@ -84,6 +92,34 @@ def test_perfbench_boundaries_resolve():
         # a method is replaced on its own class, so it must be defined there
         found = vars(obj).get(attr) if owners else getattr(obj, attr, None)
         assert callable(found), (name, path)
+
+
+#: the 𝒢 -> ℬ∞ maps, which no report runs yet; ROADMAP.md item 1 puts
+#: them in the report
+UNUSED_BY_SOURCE = {"holie_map", "holie_vanishing", "to_B"}
+
+
+def read_names(node) -> set:
+    """The names that a statement reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_is_used_by_the_source():
+    statements = [(path.stem, node, read_names(node))
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    traced = {(module, path.split(".")[0])
+              for _, module, path in perfbench_boundaries()}
+    # a definition counts as used when another top-level statement reads it
+    unused = [f"{module}.{node.name}" for module, node, _ in statements
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and (module, node.name) not in traced
+              and node.name not in UNUSED_BY_SOURCE
+              and not any(node.name in names for _, other, names in statements
+                          if other is not node)]
+    assert unused == []
 
 
 #: the module that divides: every division goes through `exact_chain.exact_div`

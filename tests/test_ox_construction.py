@@ -12,14 +12,49 @@ from operadlab.operad_core import (
 )
 from operadlab.ox_construction import (
     OXError, arity2_homology, associativity_defect, bracket,
-    check_Gg_and_tri, d_symbol, diff, equal_in_O, evaluate,
-    expand_corestriction, filtration_weight, holie_gen,
+    check_Gg_and_tri, d_symbol, diff, equal_in_O, evaluate, holie_gen,
     holie_map, holie_vanishing, jacobiator, mm_symbol, phi_symbol,
-    signs_report, to_B, write_signs,
+    signs_report, to_B,
 )
-from operadlab.exact_chain import vec_acc
+from operadlab.exact_chain import vec_acc, vec_axpy
 
 F = Fraction
+
+
+def expand_corestriction(x, profile, rank: int = 1, ctx_name: str = "A",
+                         parities=None) -> dict:
+    """Rank-`rank` corestriction of phi(x) with the given block profile.
+
+    `x` is a cell tree or a chain (OperadElement) of the context; letters
+    1..sum(profile) are split into consecutive blocks, `parities[i]` being
+    the parity of letter i+1 (all even by default).  Returns a mapping
+    word (tuple of expressions, length = rank) -> coefficient.
+    """
+    ctx = ox.context(ctx_name)
+    profile = tuple(profile)
+    blocks = ox._letter_blocks(profile)
+    q = (0,) * sum(profile) if parities is None else tuple(parities)
+    chain = x if isinstance(x, OperadElement) else OperadElement.from_tree(x)
+    out = {}
+    for t, c in chain.terms.items():
+        vec_axpy(out, c, ox.at_parities(ox.phi_rank, ctx, t, blocks, q, rank))
+    return out
+
+
+def filtration_weight(e) -> int:
+    """Minimum number of generator vertices over the terms of an element
+    (every generator has at least one argument beyond the trivial, so each
+    vertex sits in filtration level one)."""
+    if isinstance(e, ShiftedElement):
+        e = e.element
+    if e.is_zero():
+        raise OXError("the zero element has no finite filtration weight")
+    return min(t.nverts for t in e.terms)
+
+
+def write_signs(path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(signs_report())
 el = OperadElement.from_tree
 
 
