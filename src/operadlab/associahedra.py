@@ -29,6 +29,11 @@ and each cone column from its base's column through the cone table.
 `boundary` reads its columns from that table, so it decomposes K(n) first,
 and a tree that is not a cell of K(n) has no boundary.
 
+The coproduct is read from the same walk and table when
+`CellComplex.delta` is first read: Delta(a o_l b) from Delta(a) and
+Delta(b), as the insertions are coalgebra morphisms, Delta(T b) =
+(T ox id) Delta(b) + apex ox T b, and the apex is grouplike.
+
 Nothing here names or sorts cells.  The cells of K(n) are ordered by
 dimension, and within a dimension in the order in which the facet walk
 first meets them (the border cells, the apex, then the cones in the order
@@ -199,6 +204,7 @@ class CellComplex:
         self.complex = Complex(self.space, self.d)  # checks d*d = 0
         self._homology = None
         self._contractible = None
+        self._delta = None
 
     def _cone_value(self, b, cols: dict) -> OperadElement:
         """d(T b) = b - T(db) - aug(b) * apex, with db read from the columns
@@ -213,6 +219,27 @@ class CellComplex:
         if tree_degree(b) == 0:
             val = val.sub(OperadElement(self.n, {self.apex: 1}))
         return val
+
+    @property
+    def delta(self) -> dict:
+        """cell -> {(cell, cell): coeff}, built on first read by one more
+        facet walk: a border cell's from the first facet that builds it,
+        Delta(T b) = sum c * (T x ox y) + apex ox T b over the terms
+        c * (x ox y) of Delta(b), and the apex grouplike."""
+        if self._delta is None:
+            delta = {}
+            for (p, q, _), group in _facet_groups(self.n):
+                dp, dq = decompose(p).delta, decompose(q).delta
+                for (a, b), (t, _) in group.items():
+                    if t not in delta:
+                        delta[t] = _facet_delta(group, a, b, dp, dq)
+            delta[self.apex] = {(self.apex, self.apex): 1}
+            for b, tb in self.cone.items():
+                col = {(self.cone[x], y): c for (x, y), c in delta[b].items()}
+                col[self.apex, tb] = 1
+                delta[tb] = col
+            self._delta = delta
+        return self._delta
 
     def counts(self) -> dict:
         out: dict = {}
@@ -297,6 +324,21 @@ def _facet_column(group: dict, a, b, da: dict, db: dict) -> dict:
     for b2, c in db.get(b, {}).items():
         u, o = group[a, b2]
         vec_acc(col, u, -c if odd ^ o else c)
+    return col
+
+
+def _facet_delta(group: dict, a, b, delta_p: dict, delta_q: dict) -> dict:
+    """The coproduct of the cell of group[a, b], from the coproducts of K(p)
+    and K(q): Delta(a o_l b) = sum of (-1)^(|b'||a''|) (a' o_l b') ox
+    (a'' o_l b''), each factor a cell of the same group."""
+    _, odd = group[a, b]
+    col = {}
+    for (a1, a2), c in delta_p[a].items():
+        for (b1, b2), c2 in delta_q[b].items():
+            t1, o1 = group[a1, b1]
+            t2, o2 = group[a2, b2]
+            sign = odd ^ o1 ^ o2 ^ (b1.total_degree & a2.total_degree & 1)
+            vec_acc(col, (t1, t2), -c * c2 if sign else c * c2)
     return col
 
 

@@ -6,14 +6,9 @@ rather than as matrices into a materialized tensor-square space; the
 tensor square of the arity-6 complex would have tens of millions of basis
 labels while every structure map touches only a few of them.
 
-The comultiplication on a product (multi-vertex) cell is computed
-vertex-wise: choose a comultiplication component at every vertex, collect
-the first components into a same-shape tree, substitute every second
-component into its vertex at once (`operad_core.substitute`, which builds
-each output tree once with its one Koszul sign), and apply the Koszul
-interleaving sign of regrouping the per-vertex pairs.  A cone generator
-Tb has Delta(Tb) = (T ox id) Delta(b) + apex ox Tb, so its components are
-read from the coproduct of its base b (`_delta_gen`).
+The comultiplication of A(n) is K(n)'s coproduct table,
+`associahedra.decompose(n).delta`, read from the facet walk and the cone
+table.
 """
 
 from __future__ import annotations
@@ -23,9 +18,8 @@ from typing import Mapping
 from .exact_chain import (GradedMap, GradedSpace, Scalar, vec_acc, vec_axpy,
                           vec_clean)
 # graft is kept for perfbench's test_alias_bindings_are_wrapped_and_counted
-from .operad_core import (Leaf, Node, OperadElement, corolla, graft,
-                          substitute, transpose_sign, tree_degree,
-                          tree_vertices)
+from .operad_core import (OperadElement, format_tree, graft, tree_arity,
+                          tree_degree)
 from . import associahedra as ah
 
 
@@ -44,8 +38,8 @@ class DgCoalgebra:
                  delta: Mapping, counit: Mapping):
         self.space = space
         self.d = d
-        self.delta = {l: vec_clean(col) for l, col in delta.items()
-                      if vec_clean(col)}
+        self.delta = {l: kept for l, col in delta.items()
+                      if (kept := vec_clean(col))}
         self.counit = {l: c for l, c in counit.items() if c}
 
     def delta_of(self, label) -> dict:
@@ -122,67 +116,15 @@ class DgCoalgebra:
 # ---------------------------------------------------------------------------
 # the operad of chain coalgebras of associahedra
 
-_delta_gen_cache: dict = {}
-_delta_cell_cache: dict = {}
-
-
-def _delta_gen(sym):
-    """Comultiplication components of an interior-cell generator, as a list
-    of (coeff, first-component generator, second-component element)."""
-    val = _delta_gen_cache.get(sym)
-    if val is not None:
-        return val
-    n = sym.arity
-    if not ah.is_cone(sym):
-        out = [(1, sym, OperadElement.from_tree(corolla(sym)))]
-    else:
-        b = sym.payload
-        out = []
-        for (x, y), c in delta_cell(b).items():
-            out.append((c, ah.cone_symbol(x), OperadElement.from_tree(y)))
-        out.append((1, ah.apex_symbol(n),
-                    OperadElement.from_tree(corolla(sym))))
-    _delta_gen_cache[sym] = out
-    return out
-
-
 def delta_cell(t) -> dict:
-    """Comultiplication of a cell, as {(cell, cell): coeff}."""
-    val = _delta_cell_cache.get(t)
-    if val is not None:
-        return val
-    if isinstance(t, Leaf):
-        out = {(t, t): 1}
-        _delta_cell_cache[t] = out
-        return out
-    choice_lists = [_delta_gen(sym) for _, sym in tree_vertices(t)]
-    out: dict = {}
-
-    def emit(coeff, firsts, seconds):
-        # Koszul sign of regrouping ox_i (g'_i ox e''_i) into
-        # (ox_i g'_i) ox (ox_i e''_i)
-        sign = transpose_sign([(g.degree, e.degree())
-                               for g, e in zip(firsts, seconds)])
-        it = iter(firsts)
-
-        def decorate(u):
-            if isinstance(u, Leaf):
-                return u
-            return Node(next(it), [decorate(c) for c in u.children])
-        t1 = decorate(t)
-        for t2, c2 in substitute(t, seconds).terms.items():
-            vec_acc(out, (t1, t2), coeff * sign * c2)
-
-    def walk(i, coeff, firsts, seconds):
-        if i == len(choice_lists):
-            emit(coeff, firsts, seconds)
-            return
-        for c, g1, e2 in choice_lists[i]:
-            walk(i + 1, coeff * c, firsts + [g1], seconds + [e2])
-
-    walk(0, 1, [], [])
-    _delta_cell_cache[t] = out
-    return out
+    """Comultiplication of a cell of K(n), as {(cell, cell): coeff}: its
+    entry in `decompose(n).delta`.  Raises CellError on a tree that is not
+    a cell of K(n)."""
+    n = tree_arity(t)
+    col = ah.decompose(n).delta.get(t)
+    if col is None:
+        raise ah.CellError(f"{format_tree(t)} is not a cell of K({n})")
+    return col
 
 
 class CoalgebraOperad:
@@ -196,9 +138,6 @@ class CoalgebraOperad:
     def coalgebra(self, n: int) -> DgCoalgebra:
         return self.arities[n]
 
-    def max_arity(self) -> int:
-        return max(self.arities)
-
 
 def build_A(max_arity: int) -> CoalgebraOperad:
     """The operad of chain coalgebras of the decomposed associahedra."""
@@ -207,10 +146,9 @@ def build_A(max_arity: int) -> CoalgebraOperad:
     arities = {}
     for n in range(0, max_arity + 1):
         cx = ah.decompose(n)
-        delta = {t: delta_cell(t) for t in cx.space.labels}
         counit = {t: 1 for t in cx.space.labels
                   if tree_degree(t) == 0}
-        arities[n] = DgCoalgebra(cx.space, cx.d, delta, counit)
+        arities[n] = DgCoalgebra(cx.space, cx.d, cx.delta, counit)
     return CoalgebraOperad(arities, ah.insert_chain, "A")
 
 

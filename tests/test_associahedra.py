@@ -16,10 +16,12 @@ from operadlab.associahedra import (
     boundary_fundamental_cycle, cone_chain, cone_symbol, decompose,
     dimension, fundamental_class, insert_chain, point_cell,
 )
+from operadlab import cli_report
+from operadlab.coalgebra_operad import delta_cell
 from operadlab.exact_chain import span, vec_acc
 from operadlab.operad_core import (
     FreeDifferential, Leaf, Node, OperadElement, corolla, format_tree,
-    graft_tree, tree_degree,
+    graft_tree, transpose_sign, tree_degree, tree_vertices,
 )
 
 
@@ -69,6 +71,84 @@ def ref_cell_differential() -> FreeDifferential:
         return val
     d = FreeDifferential(rule)
     return d
+
+
+def _ref_replace_vertex(tree, path, value):
+    """One vertex replaced, the whole tree rebuilt for every term, with the
+    interleaving sign of each child block read off the replacement."""
+    target = tree
+    for i in path:
+        target = target.children[i]
+    terms = {}
+    for s, c in value.terms.items():
+        before = 0
+        odd = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Leaf):
+                child = target.children[u.label - 1]
+                odd += tree_degree(child) * (tree_degree(s) - before)
+            else:
+                before += u.symbol.degree
+                stack.extend(reversed(u.children))
+
+        def build(u):
+            if isinstance(u, Leaf):
+                return target.children[u.label - 1]
+            return Node(u.symbol, tuple(build(ch) for ch in u.children))
+
+        def rebuild(u, p):
+            if p == path:
+                return build(s)
+            if isinstance(u, Leaf):
+                return u
+            return Node(u.symbol, tuple(rebuild(ch, p + (i,))
+                                        for i, ch in enumerate(u.children)))
+
+        vec_acc(terms, rebuild(tree, ()), (-1) ** (odd % 2) * c)
+    return OperadElement(tree.nleaves, terms)
+
+
+@functools.cache
+def _ref_delta_cell(t):
+    """The vertex-wise coproduct that reads no table of K(n): the product
+    over the vertices of each generator's coproduct, the second component
+    built by replacing one vertex at a time, later vertices first."""
+    if isinstance(t, Leaf):
+        return {(t, t): 1}
+    verts = tree_vertices(t)
+    choices = []
+    for _, sym in verts:
+        own = (1, sym, OperadElement.from_tree(corolla(sym)))
+        if not ah.is_cone(sym):
+            choices.append([own])
+            continue
+        cs = [(c, ah.cone_symbol(x), OperadElement.from_tree(y))
+              for (x, y), c in _ref_delta_cell(sym.payload).items()]
+        choices.append(cs + [(1, ah.apex_symbol(sym.arity), own[2])])
+    out = {}
+    for combo in itertools.product(*choices):
+        coeff = 1
+        for c, _, _ in combo:
+            coeff *= c
+        sign = transpose_sign([(g.degree, e.degree()) for _, g, e in combo])
+        firsts = {path: g for (path, _), (_, g, _) in zip(verts, combo)}
+
+        def decorate(u, p):
+            if isinstance(u, Leaf):
+                return u
+            return Node(firsts[p], tuple(decorate(c, p + (k,))
+                                         for k, c in enumerate(u.children)))
+
+        t1 = decorate(t, ())
+        acc = OperadElement.from_tree(t)
+        for (path, _), (_, _, e) in reversed(list(zip(verts, combo))):
+            acc = acc.map_trees(
+                lambda tr, p=path, v=e: _ref_replace_vertex(tr, p, v))
+        for t2, c2 in acc.terms.items():
+            vec_acc(out, (t1, t2), coeff * sign * c2)
+    return out
 
 
 def test_points():
@@ -262,21 +342,25 @@ def test_commuting_square_deletion_vs_graft():
 def test_intersections_agree():
     # a cell reachable through two or more facets is the same tree, and
     # every decomposition a o_l b of it gives the same factor-derived
-    # column, its boundary by the cone rule; checked on every facet of
-    # K(4..6)
+    # column and coproduct: its boundary by the cone rule, and its
+    # vertex-wise coproduct; checked on every facet of K(4..6)
     ref = ref_cell_differential()
     for n in range(4, 7):
         cols = {}
         for (p, q, _), group in ah._facet_groups(n):
-            da, db = decompose(p).d.entries, decompose(q).d.entries
+            cp, cq = decompose(p), decompose(q)
+            da, db = cp.d.entries, cq.d.entries
             for (a, b), (t, _) in group.items():
                 cols.setdefault(t, []).append(
-                    ah._facet_column(group, a, b, da, db))
+                    (ah._facet_column(group, a, b, da, db),
+                     ah._facet_delta(group, a, b, cp.delta, cq.delta)))
         shared = {t: cs for t, cs in cols.items() if len(cs) > 1}
         assert shared, f"no shared intersection cells at n={n}"
         for t, cs in shared.items():
             want = ref(OperadElement.from_tree(t)).terms
-            assert all(col == want for col in cs), (n, t)
+            assert all(col == want for col, _ in cs), (n, t)
+            want = _ref_delta_cell(t)
+            assert all(delta == want for _, delta in cs), (n, t)
 
 
 def test_decompose_columns_are_the_free_differential():
@@ -300,6 +384,8 @@ def test_boundary_rejects_a_tree_that_is_not_a_cell():
     for t in (swapped, corolla(cone_symbol(swapped))):
         with pytest.raises(CellError, match=r"is not a cell of K\(3\)"):
             boundary(t)
+        with pytest.raises(CellError, match=r"is not a cell of K\(3\)"):
+            delta_cell(t)
         chain = OperadElement.from_tree(t).add(fundamental_class(3))
         with pytest.raises(CellError, match="is not a cell"):
             boundary(chain)
@@ -413,6 +499,20 @@ def test_cone_names_are_built_on_first_read(monkeypatch):
     monkeypatch.undo()
     assert sym.name == f"T[{_eager_text(base)}]"
     assert sym.sort_key() == (sym.name, 11, -1)
+
+
+def test_coproducts_are_built_on_first_read(monkeypatch):
+    # decompose, and the associahedra suite on top of it, build no
+    # coproduct table; reading `delta` builds it
+    def no_delta(*args):
+        raise AssertionError("coproduct table built")
+    monkeypatch.setattr(ah, "_complexes", {})
+    monkeypatch.setattr(ah, "_facet_delta", no_delta)
+    report = cli_report.run("associahedra", max_arity=6)
+    assert report["all_pass"] and report["failed"] == 0
+    assert set(ah._complexes) == set(range(2, 7))  # built afresh
+    with pytest.raises(AssertionError, match="coproduct table built"):
+        decompose(3).delta
 
 
 def _labels_in_fresh_interpreter(tmp_path, hashseed, warm):

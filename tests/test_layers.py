@@ -16,6 +16,8 @@ The span boundaries of the benchmark's tracer (`perfbench/tracing.py`)
 name functions and methods of these modules; they must keep resolving.
 Every top-level function and class is used by the source or is such a
 boundary: code that only the tests run lives in the tests.
+
+No module gains a module-global memo table beyond the declared ones.
 """
 import ast
 import importlib
@@ -139,3 +141,41 @@ def test_only_the_dividing_modules_import_fractions():
             if any(n.split(".")[0] == "fractions" for n in names):
                 got.add(path.stem)
     assert got <= DIVIDING, sorted(got - DIVIDING)
+
+
+#: the module-global memo tables that are left, until ROADMAP.md item 13
+#: moves them into one run context; a new table belongs on an object
+MODULE_MEMOS = {"associahedra._complexes", "associahedra._mu",
+                "ox_construction._b_relations", "ox_construction.phi1_tree",
+                "ox_construction.phi_rank"}
+
+
+def is_cache(node) -> bool:
+    """Whether an expression is `functools.cache`, `cache`, `lru_cache`,
+    or a call of one (`lru_cache(maxsize=None)`, `cache(f)`)."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def module_memos(path: Path) -> set:
+    """The module-level names of a source file bound to an empty dict or to
+    a cache, and its functools-cached functions."""
+    out = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and (
+                isinstance(node.value, ast.Dict) and not node.value.keys
+                or is_cache(node.value)):
+            targets = getattr(node, "targets", None) or [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.FunctionDef) and any(
+                map(is_cache, node.decorator_list)):
+            out.add(node.name)
+    return {f"{path.stem}.{name}" for name in out}
+
+
+def test_no_new_module_global_memo():
+    got = set().union(*map(module_memos, PACKAGE.glob("*.py")))
+    assert got == MODULE_MEMOS
