@@ -189,7 +189,8 @@ class CellComplex:
     def __init__(self, n: int, apex, border: dict):
         self.n = n
         self.apex = apex
-        self.cone = {b: corolla(cone_symbol(b)) for b in border}
+        leaves = tuple(map(Leaf, range(1, n + 1)))
+        self.cone = {b: Node(cone_symbol(b), leaves) for b in border}
         self.cells = (*self.cone, apex, *self.cone.values())
         by_dim: dict = {}
         for t in self.cells:
@@ -209,16 +210,16 @@ class CellComplex:
     def _cone_value(self, b, cols: dict) -> OperadElement:
         """d(T b) = b - T(db) - aug(b) * apex, with db read from the columns
         and T from the cone table."""
-        tdb = {}
+        rest = {}  # -T(db) - aug(b) * apex
         for s, c in cols[b].items():
-            if s not in self.cone:
+            ts = self.cone.get(s)
+            if ts is None:
                 raise CellError(f"{format_tree(s)}, in the boundary of "
                                 f"{format_tree(b)}, is not a border cell")
-            tdb[self.cone[s]] = c
-        val = OperadElement(self.n, {b: 1}).sub(OperadElement(self.n, tdb))
-        if tree_degree(b) == 0:
-            val = val.sub(OperadElement(self.n, {self.apex: 1}))
-        return val
+            rest[ts] = -c
+        if b.total_degree == 0:
+            rest[self.apex] = -1
+        return OperadElement(self.n, {b: 1}).add(OperadElement(self.n, rest))
 
     @property
     def delta(self) -> dict:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .exact_chain import (GradedMap, GradedSpace, Scalar, vec_acc, vec_axpy,
-                          vec_clean)
+from .exact_chain import GradedMap, GradedSpace, Scalar, vec_acc, vec_axpy
 # graft is kept for perfbench's test_alias_bindings_are_wrapped_and_counted
 from .operad_core import (OperadElement, format_tree, graft, tree_arity,
                           tree_degree)
@@ -30,7 +29,9 @@ class CoalgebraError(Exception):
 class DgCoalgebra:
     """Complex with coassociative counital comultiplication; d a coderivation.
 
-    delta: label -> {(l1, l2): coeff}; counit: label -> coeff.  Nothing is
+    delta: label -> {(l1, l2): coeff}, with no zero coefficient; counit:
+    label -> coeff.  The coalgebra keeps the delta table it is given, not a
+    copy (A(n) shares K(n)'s), so the table is read-only.  Nothing is
     checked on construction; `validate` checks the axioms.
     """
 
@@ -38,8 +39,7 @@ class DgCoalgebra:
                  delta: Mapping, counit: Mapping):
         self.space = space
         self.d = d
-        self.delta = {l: kept for l, col in delta.items()
-                      if (kept := vec_clean(col))}
+        self.delta = delta
         self.counit = {l: c for l, c in counit.items() if c}
 
     def delta_of(self, label) -> dict:
@@ -87,14 +87,15 @@ class DgCoalgebra:
                 raise CoalgebraError(f"counit axiom fails at {x!r}")
 
     def check_coderivation(self):
+        d = self.d.entries
         for x in self.space.labels:
-            lhs = self.delta_chain(self.d.column(x))
+            lhs = self.delta_chain(d.get(x, {}))
             rhs: dict = {}
             for (a, b), c in self.delta.get(x, {}).items():
-                for a2, c2 in self.d.column(a).items():
+                for a2, c2 in d.get(a, {}).items():
                     vec_acc(rhs, (a2, b), c * c2)
                 sa = -1 if self.space.degree(a) % 2 else 1
-                for b2, c2 in self.d.column(b).items():
+                for b2, c2 in d.get(b, {}).items():
                     vec_acc(rhs, (a, b2), sa * c * c2)
             if lhs != rhs:
                 raise CoalgebraError(f"coderivation fails at {x!r}")
@@ -102,8 +103,9 @@ class DgCoalgebra:
     def check_counit_chain_map(self):
         # the counit kills every exact chain (it is a chain map to the
         # ground field in degree 0)
+        d = self.d.entries
         for x in self.space.labels:
-            if self.eps_chain(self.d.column(x)):
+            if self.eps_chain(d.get(x, {})):
                 raise CoalgebraError(f"counit not a chain map at {x!r}")
 
     def validate(self):

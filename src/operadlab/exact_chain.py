@@ -128,6 +128,7 @@ class GradedMap:
         self.target = target
         self.shift = shift
         self.entries = {}
+        degrees = target.degrees
         for src, col in entries.items():
             col = vec_clean(col)
             if not col:
@@ -136,11 +137,14 @@ class GradedMap:
                 raise SpaceMismatch(f"unknown source label {src!r}")
             self.entries[src] = col
             if check:
-                want = source.degree(src) + shift
+                want = source.degrees[src] + shift
                 for tgt in col:
-                    if tgt not in target.index:
-                        raise SpaceMismatch(f"unknown target label {tgt!r}")
-                    if target.degree(tgt) != want:
+                    # one lookup: None for a label outside the target
+                    got = degrees.get(tgt)
+                    if got != want:
+                        if got is None:
+                            raise SpaceMismatch(
+                                f"unknown target label {tgt!r}")
                         raise SpaceMismatch(
                             f"entry {src!r}->{tgt!r} violates shift "
                             f"{self.shift}")

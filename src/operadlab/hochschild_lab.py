@@ -252,9 +252,9 @@ def hochschild_d(c: Cochain) -> Cochain:
         if col:
             vec_axpy(vals.setdefault(tuple(args), {}), s, col)
 
+    # c on a basis tuple is its table entry
     for args in itertools.product(range(alg.dim), repeat=n + 1):
-        basis = [{i: 1} for i in args]
-        acc(args, alg.product(basis[0], c(*basis[1:])), 1)
+        acc(args, alg.product({args[0]: 1}, c.values.get(args[1:], {})), 1)
         for i in range(n):
             merged = alg.mult[(args[i], args[i + 1])]
             inner = {}
@@ -263,7 +263,8 @@ def hochschild_d(c: Cochain) -> Cochain:
                 if sub:
                     vec_axpy(inner, cf, sub)
             acc(args, inner, (-1) ** (i + 1))
-        acc(args, alg.product(c(*basis[:-1]), basis[-1]), (-1) ** (n + 1))
+        acc(args, alg.product(c.values.get(args[:-1], {}), {args[-1]: 1}),
+            (-1) ** (n + 1))
     return Cochain(alg, n + 1, vals)
 
 
@@ -307,8 +308,8 @@ def brace(x: Cochain, ys) -> Cochain:
             sign *= (-1) ** (y.sdeg * pos % 2)
             offset += y.arity - 1
         for args in itertools.product(range(alg.dim), repeat=total):
-            basis = [{i: 1} for i in args]
-            # split final arguments into x-arguments, applying the y's
+            # split final arguments into x-arguments, applying the y's: a
+            # cochain on a basis tuple is its table entry
             xargs = []
             p = 0
             slot_iter = iter(zip(slots, ys))
@@ -316,11 +317,11 @@ def brace(x: Cochain, ys) -> Cochain:
             for s in range(1, n + 1):
                 if nxt is not None and s == nxt[0]:
                     y = nxt[1]
-                    xargs.append(y(*basis[p:p + y.arity]))
+                    xargs.append(y.values.get(args[p:p + y.arity], {}))
                     p += y.arity
                     nxt = next(slot_iter, None)
                 else:
-                    xargs.append(basis[p])
+                    xargs.append({args[p]: 1})
                     p += 1
             col = x(*xargs)
             if col:

@@ -61,6 +61,23 @@ def test_cell_suites_certify_contractibility_once_per_arity(monkeypatch):
     assert certified == list(arities)
 
 
+def test_fundamental_class_check_fails_without_the_koszul_sign(monkeypatch):
+    # the bare position sign (-1)^((l-1)(j-1)) leaves the boundary sum open
+    # from arity 4 on, so the cone over it is no fundamental class
+    def position_sign(i, j, l):
+        return -1 if (l - 1) * (j - 1) % 2 else 1
+
+    monkeypatch.setattr(ah, "insertion_sign", position_sign)
+    monkeypatch.setattr(ah, "_mu", {})
+    report = cli.run("associahedra", max_arity=5)
+    verdicts = {c["name"]: c["pass"] for c in report["checks"]
+                if c["name"].startswith("fundamental_class_boundary_")}
+    assert verdicts == {"fundamental_class_boundary_3": True,
+                        "fundamental_class_boundary_4": False,
+                        "fundamental_class_boundary_5": False}
+    assert not report["all_pass"] and "errors" not in report
+
+
 def test_determinism_same_seed():
     a = cli.export(cli.run("hochschild", seed=7), "json")
     b = cli.export(cli.run("hochschild", seed=7), "json")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from operadlab.exact_chain import (
     Complex, Echelon, GradedMap, GradedSpace, InhomogeneousRelation,
-    StructuralFailure, exact_div, kernel_basis, quotient, span, vec_acc,
-    vec_axpy, vec_scale,
+    SpaceMismatch, StructuralFailure, exact_div, kernel_basis, quotient, span,
+    vec_acc, vec_axpy, vec_scale,
 )
 
 
@@ -41,6 +42,22 @@ def test_graded_map_shift_validation():
     GradedMap(sp, sp, 1, {"x": {"y": F(1)}})
     with pytest.raises(Exception):
         GradedMap(sp, sp, 1, {"y": {"x": F(1)}})
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"w": {"b": 1}}, "unknown source label 'w'"),
+    ({"x": {"b": 1, "w": 1}}, "unknown target label 'w'"),
+    # a source label is not a target label
+    ({"x": {"x": 1}}, "unknown target label 'x'"),
+    ({"x": {"a": 1}}, "entry 'x'->'a' violates shift 1"),
+    ({"y": {"c": 1, "b": 2}}, "entry 'y'->'b' violates shift 1"),
+])
+def test_graded_map_names_each_space_mismatch(entries, message):
+    source = GradedSpace(["x", "y"], {"x": 0, "y": 1})
+    target = GradedSpace(["a", "b", "c"], {"a": 0, "b": 1, "c": 2})
+    GradedMap(source, target, 1, {"x": {"b": 1}, "y": {"c": 1}})
+    with pytest.raises(SpaceMismatch, match=f"^{re.escape(message)}$"):
+        GradedMap(source, target, 1, entries)
 
 
 @pytest.mark.parametrize("degree", [(0,), True])
